@@ -63,6 +63,7 @@ from .action import (
     act_P,
     act_Q,
     enumerate_pgl,
+    fixes,
     fixpoint_check_omega,
     p_core,
     pgl_order,

@@ -6,6 +6,12 @@ reciprocal maps precompose with g, families move by
 compared: once by sheer brute force over the whole group, and once through
 the block-triangular description, whose diagonal blocks act as Galois-twisted
 scalars on the twist span of a dense quotient point (fixpoint_check_omega).
+
+Brute force asks fixes(x, g) of every g, which answers act(x, g) == x
+without building the moved point and stops at the first mismatch.  The
+predicted route builds everything that depends only on the point once per
+call: the density check, twist orbit and closing divisors of each quotient
+covector, and the projection onto each block's complement coordinates.
 """
 
 from functools import lru_cache
@@ -18,6 +24,7 @@ from .linalg import (
     apply_functional,
     complement,
     coords_to_ambient,
+    enumerate_subspaces,
     normalize_functional,
     functional_ratio,
     quotient_functional,
@@ -29,6 +36,7 @@ from .points import (
     BPoint,
     PPoint,
     QPoint,
+    _solve_in_basis,
     b_classify,
     p_classify,
     q_classify,
@@ -210,17 +218,62 @@ def act(x, g):
     raise TypeError(f"not a point: {x!r}")
 
 
+def fixes(x, g):
+    """Exactly act(x, g) == x, without building act(x, g).
+
+    Each kind compares x.g with x piece by piece and stops at the first
+    piece that differs: the covector up to scale (P), the table against
+    lam * r with lam = r(g(v0)) at the vector v0 where r is normalized to 1
+    (Q), and the family subspace by subspace, largest first (B).
+    """
+    if isinstance(x, PPoint):
+        cols = zip(*g.matrix)
+        pulled = tuple(apply_functional(x.coords, col) for col in cols)
+        return functional_ratio(pulled, x.coords) is not None
+    if isinstance(x, QPoint):
+        table = x.table
+        v0 = next(v for v, val in table.items() if val)
+        lam = table[g.apply(v0)]
+        return all(table[g.apply(v)] == lam * val for v, val in table.items())
+    if isinstance(x, BPoint):
+        for W in _descending_subspaces(x.n_plus_1, x.ctx):
+            gW = W if W.dim == x.n_plus_1 else g.apply_subspace(W)
+            coords = tuple(x.value(gW, g.apply(r)) for r in W.rows)
+            if normalize_functional(coords) != x.family[W]:
+                return False
+        return True
+    raise TypeError(f"not a point: {x!r}")
+
+
+@lru_cache(maxsize=None)
+def _descending_subspaces(n_plus_1, ctx):
+    """The subspaces of dimension >= 2, whole space first.
+
+    Large subspaces carry the most constraints, so most group elements fail
+    on the first few.  Lines are left out: a normalized functional on a line
+    is (1,), whatever the point and g.
+    """
+    return tuple(
+        W for d in range(n_plus_1, 1, -1) for W in enumerate_subspaces(n_plus_1, d, ctx)
+    )
+
+
 # ---------------------------------------------------------------------------
 # stabilizers
 
 
 def stabilizer_bruteforce(x, group=None):
-    "All g with x.g = x, by acting with every element; asserted a subgroup."
+    """All g with x.g = x, found by testing every element of the group.
+
+    Each element is tested with fixes(x, g), which stops at the first
+    mismatch instead of building x.g; nothing of the predicted route is
+    consulted.  The result is asserted to be a subgroup.
+    """
     ctx = x.ctx
     n_plus_1 = x.n_plus_1 if not isinstance(x, PPoint) else len(x.coords)
     if group is None:
         group = enumerate_pgl(n_plus_1, ctx)
-    stab = [g for g in group if act(x, g) == x]
+    stab = [g for g in group if fixes(x, g)]
     members = set(stab)
     for g in stab:
         assert g.inverse() in members, "stabilizer not closed under inverse"
@@ -242,44 +295,62 @@ def fixpoint_check_omega(coords, g_matrix_rows, ctx):
            for one lam fixed by F^d (lam in k_d).
 
     Returns the smallest witnessing divisor d, or None if g does not fix
-    the point.
+    the point.  Test (i) does not involve g; _DenseCovector makes it once
+    per covector and leaves test (ii) for each g.
     """
-    s = len(coords)
-    if rational_kernel(coords, ctx).dim != 0:
-        raise ValueError("not a dense point: rational kernel is nontrivial")
-    cols = list(zip(*g_matrix_rows))
-    twists = [tuple(coords)]
-    for _ in range(s):
-        twists.append(twist_coords(twists[-1], 1, ctx))
-    # ratios mu_t with l^(F^t) o g = mu_t * l^(F^t); all must exist
-    mus = []
-    for t in range(s):
-        lt = twists[t]
-        ltg = tuple(apply_functional(lt, col) for col in cols)
-        mu = functional_ratio(ltg, lt)
-        if mu is None:
-            return None
-        mus.append(mu)
-    lam = mus[0]
-    if not lam:
-        return None
-    cur = lam
-    for t in range(1, s):
-        cur = ctx.inv_frobenius(cur)
-        if mus[t] != cur:
-            return None
-    for d in range(1, s + 1):
-        if s % d:
-            continue
+    return _DenseCovector(coords, ctx).witness(list(zip(*g_matrix_rows)))
+
+
+class _DenseCovector:
+    """The g-independent half of fixpoint_check_omega for one covector l.
+
+    Built once: the density check, the twists l^(F^t) for t < s, and the
+    divisors d of s whose d-step twist span is closed (test (i)).
+    witness(cols) runs test (ii) for one g, given by the images of the
+    basis vectors.
+    """
+
+    __slots__ = ("ctx", "twists", "divisors")
+
+    def __init__(self, coords, ctx):
+        s = len(coords)
+        if rational_kernel(coords, ctx).dim != 0:
+            raise ValueError("not a dense point: rational kernel is nontrivial")
+        twists = [tuple(coords)]
+        for _ in range(s):
+            twists.append(twist_coords(twists[-1], 1, ctx))
+        closing = []
+        for d in range(1, s + 1):
+            if s % d:
+                continue
+            u_basis = [twists[j] for j in range(0, s, d)]
+            _, rank_u = rref(u_basis)
+            _, rank_ext = rref(u_basis + [twists[s]])
+            if rank_ext == rank_u:
+                closing.append(d)
+        self.ctx = ctx
+        self.twists = tuple(twists[:s])
+        self.divisors = tuple(closing)
+
+    def witness(self, cols):
+        "The smallest witnessing divisor for the map with these columns, or None."
+        ctx = self.ctx
+        # ratios mu_t with l^(F^t) o g = mu_t * l^(F^t); all must exist and
+        # follow mu_t = F^(-t)(mu_0)
+        for t, lt in enumerate(self.twists):
+            mu = functional_ratio(tuple(apply_functional(lt, col) for col in cols), lt)
+            if mu is None:
+                return None
+            if t == 0:
+                if not mu:
+                    return None
+                lam = cur = mu
+            else:
+                cur = ctx.inv_frobenius(cur)
+                if mu != cur:
+                    return None
         # lam must live in k_d
-        if not ctx.in_subfield(lam, d):
-            continue
-        u_basis = [twists[j] for j in range(0, s, d)]
-        _, rank_u = rref(u_basis)
-        _, rank_ext = rref(u_basis + [twists[s]])
-        if rank_ext == rank_u:
-            return d
-    return None
+        return next((d for d in self.divisors if ctx.in_subfield(lam, d)), None)
 
 
 class _QuotientBlock:
@@ -287,47 +358,41 @@ class _QuotientBlock:
     whether the induced map fixes the attached dense quotient point.
 
     coords is a functional on big's coordinate space vanishing on small.
-    Only call passes(g) for g leaving big (and small) invariant.
+    Built once per point: the complement of small in big's coordinates, the
+    projection of big's coordinates onto the complement coordinates, and
+    the _DenseCovector of the induced quotient covector.  Only call
+    passes(g) for g leaving big (and small) invariant.
     """
 
-    __slots__ = ("ctx", "pivots", "small_dim", "basis_rows", "amb_basis", "lbar")
+    __slots__ = ("pivots", "amb_basis", "projection", "dense")
 
     def __init__(self, big, small, coords, ctx):
         s = big.dim
         small_c = subspace_in_coords(big, small)
         comp_c = complement(small_c, Subspace.full(s, ctx))
-        self.ctx = ctx
+        basis_rows = list(small_c.rows) + list(comp_c.rows)
+        # row j: complement coordinates of the j-th coordinate vector of big
+        by_coordinate = [
+            _solve_in_basis(basis_rows, e_j, ctx)[small_c.dim :]
+            for e_j in Subspace.full(s, ctx).rows
+        ]
         self.pivots = big.pivots()
-        self.small_dim = small_c.dim
-        self.basis_rows = list(small_c.rows) + list(comp_c.rows)
         self.amb_basis = coords_to_ambient(big, comp_c.rows)
-        _, self.lbar = quotient_functional(coords, small_c, ctx)
+        self.projection = tuple(zip(*by_coordinate))
+        _, lbar = quotient_functional(coords, small_c, ctx)
+        self.dense = _DenseCovector(lbar, ctx)
 
-    def induced_matrix(self, g):
-        induced = []
+    def induced_columns(self, g):
+        "Images of the complement basis under g, in complement coordinates."
+        cols = []
         for amb in self.amb_basis:
             img = g.apply(amb)
             img_c = tuple(img[p] for p in self.pivots)
-            sol = _solve_in_basis_rows(self.basis_rows, img_c, self.ctx)
-            induced.append(sol[self.small_dim :])
-        d = len(induced)
-        # columns are images of basis vectors
-        return [[induced[j][i] for j in range(d)] for i in range(d)]
+            cols.append(tuple(apply_functional(row, img_c) for row in self.projection))
+        return cols
 
     def passes(self, g):
-        return fixpoint_check_omega(self.lbar, self.induced_matrix(g), self.ctx) is not None
-
-
-def _solve_in_basis_rows(rows, v, ctx):
-    aug = [[r[i] for r in rows] + [v[i]] for i in range(len(v))]
-    ech, _ = rref(aug)
-    sol = [ctx.zero] * len(rows)
-    for r in ech:
-        piv = next(i for i, a in enumerate(r) if a)
-        if piv == len(rows):
-            raise ValueError("vector not in span")
-        sol[piv] = r[-1]
-    return tuple(sol)
+        return self.dense.witness(self.induced_columns(g)) is not None
 
 
 def _predicted_blocks(x):

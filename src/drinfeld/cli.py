@@ -12,7 +12,7 @@ import sys
 
 from .atlas import build_atlas, export
 from .errors import InvariantViolation
-from .field import FieldCtx, context_for, is_prime
+from .field import context_for, is_prime
 from .points import (
     PPoint,
     QPoint,
@@ -22,6 +22,7 @@ from .points import (
     p_classify,
     point_from_obj,
     q_classify,
+    q_table_from_obj,
     q_validate,
     subspace_str,
     vector_str,
@@ -59,8 +60,12 @@ def _out(data):
 def _read_obj(args):
     if args.input and args.input != "-":
         with open(args.input, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.load(sys.stdin)
+            obj = json.load(fh)
+    else:
+        obj = json.load(sys.stdin)
+    if not isinstance(obj, dict):
+        raise ValueError("point JSON must be an object")
+    return obj
 
 
 def cmd_classify(args):
@@ -68,15 +73,7 @@ def cmd_classify(args):
     # data instead of being enforced by the constructors
     obj = _read_obj(args)
     if obj.get("kind") == "Q":
-        from .points import vector_from_str
-
-        fld = obj["field"]
-        ctx = FieldCtx(fld["p"], fld["e"], fld["D"], tuple(fld["modulus"]))
-        n_plus_1 = obj["data"]["n_plus_1"]
-        table = {
-            vector_from_str(k, ctx): ctx.element(v)
-            for k, v in obj["data"]["table"].items()
-        }
+        ctx, n_plus_1, table = q_table_from_obj(obj)
         check = q_validate(table, ctx, n_plus_1)
         result = {"variety": "Q", "valid": bool(check)}
         if check:
@@ -149,6 +146,10 @@ def _parse_m_list(text):
 
 
 def _build(args):
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     m_list = _parse_m_list(args.m) if args.m else []
     ctx = context_for(args.p, args.e, args.n + 1, m_list or [1])
     cache_dir = None if args.no_cache else args.cache_dir

@@ -704,37 +704,61 @@ def point_to_obj(x):
     raise TypeError(f"not a point: {x!r}")
 
 
+def _json_fields(obj, keys, what):
+    "The values of keys in obj; ValueError unless obj is a JSON object holding them."
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{what} has no {key!r} key")
+    return [obj[key] for key in keys]
+
+
+def _point_header(obj, ctx):
+    "Kind, field context and data of a point's JSON dict; the field is verified."
+    from .field import FieldCtx
+
+    kind, fld, data = _json_fields(obj, ("kind", "field", "data"), "point")
+    p, e, D, modulus = _json_fields(fld, ("p", "e", "D", "modulus"), "field")
+    if ctx is None:
+        ctx = FieldCtx(p, e, D, tuple(modulus))
+    elif (ctx.p, ctx.e, ctx.D, ctx.modulus) != (p, e, D, tuple(modulus)):
+        raise ValueError("field of the point does not match the context")
+    return kind, ctx, data
+
+
+def _q_table(data, ctx):
+    "n_plus_1 and the table of a Q point's data object, values unchecked."
+    n_plus_1, table = _json_fields(data, ("n_plus_1", "table"), "data")
+    return n_plus_1, {vector_from_str(k, ctx): ctx.element(v) for k, v in table.items()}
+
+
+def q_table_from_obj(obj):
+    """(ctx, n_plus_1, table) of a Q point's JSON dict, the table as given:
+    the reciprocal-map axioms are not checked and no normalization is done."""
+    _, ctx, data = _point_header(obj, None)
+    return (ctx, *_q_table(data, ctx))
+
+
 def point_from_obj(obj, ctx=None, validate=True):
     """Rebuild a point from its JSON dict; the field context is verified.
 
-    With validate=False the reciprocal/compatibility axioms are not
-    enforced, so a caller can inspect an invalid table and report on it.
+    A dict of the wrong shape (not an object, or missing a key) raises
+    ValueError.  With validate=False the reciprocal/compatibility axioms are
+    not enforced, so a caller can inspect an invalid table and report on it.
     """
-    from .field import FieldCtx
-
-    fld = obj["field"]
-    if ctx is None:
-        ctx = FieldCtx(fld["p"], fld["e"], fld["D"], tuple(fld["modulus"]))
-    elif (ctx.p, ctx.e, ctx.D, ctx.modulus) != (
-        fld["p"], fld["e"], fld["D"], tuple(fld["modulus"]),
-    ):
-        raise ValueError("field of the point does not match the context")
-    kind = obj["kind"]
-    data = obj["data"]
+    kind, ctx, data = _point_header(obj, ctx)
     if kind == "P":
-        return PPoint(ctx, tuple(ctx.element(c) for c in data["coords"]))
+        (coords,) = _json_fields(data, ("coords",), "data")
+        return PPoint(ctx, tuple(ctx.element(c) for c in coords))
     if kind == "Q":
-        n_plus_1 = data["n_plus_1"]
-        table = {
-            vector_from_str(k, ctx): ctx.element(v)
-            for k, v in data["table"].items()
-        }
+        n_plus_1, table = _q_table(data, ctx)
         return QPoint(ctx, n_plus_1, table, validate=validate)
     if kind == "B":
-        n_plus_1 = data["n_plus_1"]
+        n_plus_1, family = _json_fields(data, ("n_plus_1", "family"), "data")
         family = {
             subspace_from_str(k, ctx, n_plus_1): tuple(ctx.element(c) for c in v)
-            for k, v in data["family"].items()
+            for k, v in family.items()
         }
         return BPoint(ctx, n_plus_1, family, validate=validate)
     raise ValueError(f"unknown point kind {kind!r}")

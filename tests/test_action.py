@@ -10,6 +10,7 @@ from drinfeld import (
     act_B,
     b_enumerate,
     enumerate_pgl,
+    fixes,
     fixpoint_check_omega,
     omega_embed_q,
     p_classify,
@@ -125,10 +126,28 @@ def test_fixpoint_witness_divisors(ctx64, omega4):
             assert fixpoint_check_omega(x.coords, g.matrix, ctx64) is None
 
 
-def test_fixpoint_check_requires_dense_point(ctx64):
+def test_fixpoint_check_requires_dense_point(ctx64, omega4):
     g = GroupElement.identity(2, ctx64)
     with pytest.raises(ValueError):
         fixpoint_check_omega((ctx64.one, ctx64.one), g.matrix, ctx64)
+    g3 = GroupElement.identity(3, ctx64)
+    with pytest.raises(ValueError):
+        fixpoint_check_omega((ctx64.one, omega4, ctx64.zero), g3.matrix, ctx64)
+
+
+def test_fixes_agrees_with_acting(ctx64, ctx729):
+    # the early-exit test against its slow oracle, building x.g in full
+    cases = [(ctx64, 3, 1)] + [(ctx729, 2, m) for m in (1, 2)]
+    for ctx, n_plus_1, m in cases:
+        group = enumerate_pgl(n_plus_1, ctx)
+        points = (
+            p_enumerate(ctx, n_plus_1, m)
+            + q_enumerate(ctx, n_plus_1, m)
+            + b_enumerate(ctx, n_plus_1, m)
+        )
+        for x in points:
+            for g in group:
+                assert fixes(x, g) == (act(x, g) == x)
 
 
 def test_rational_point_stabilizer_is_full_parabolic(ctx64):

@@ -82,6 +82,27 @@ def test_classify_bad_json():
     assert proc.returncode == 2
 
 
+def _assert_one_error_line(proc):
+    assert proc.returncode == 2 and not proc.stdout
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
+def test_point_without_field_key_is_an_error(dense_point_json):
+    obj = json.loads(dense_point_json)
+    del obj["field"]
+    for cmd in ("classify", "stabilizer"):
+        _assert_one_error_line(run_cli([cmd], stdin=json.dumps(obj).encode()))
+    obj = {"kind": "Q", "data": {"n_plus_1": 2, "table": {}}}
+    _assert_one_error_line(run_cli(["classify"], stdin=json.dumps(obj).encode()))
+
+
+def test_point_json_not_an_object_is_an_error(dense_point_json):
+    body = b"[" + dense_point_json + b"]"
+    for cmd in ("classify", "stabilizer"):
+        _assert_one_error_line(run_cli([cmd], stdin=body))
+
+
 def test_stabilizer_output(dense_point_json):
     proc = run_cli(["stabilizer", "--format", "json"], stdin=dense_point_json)
     assert proc.returncode == 0
@@ -109,6 +130,14 @@ def test_count_json():
     assert proc.returncode == 0
     obj = json.loads(proc.stdout)
     assert obj["totals"] == {"1": 3, "2": 5}
+
+
+def test_count_rejects_out_of_range_arguments():
+    base = ["--variety", "P", "--m", "1", "--no-cache"]
+    for cmd in ("count", "strata"):
+        _assert_one_error_line(run_cli([cmd, "--n", "-1"] + base))
+        _assert_one_error_line(run_cli([cmd, "--n", "0"] + base))
+        _assert_one_error_line(run_cli([cmd, "--n", "1", "--jobs", "0"] + base))
 
 
 def test_strata_deterministic_across_jobs():
