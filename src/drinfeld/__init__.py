@@ -57,7 +57,6 @@ from .points import (
 )
 from .action import (
     GroupElement,
-    ParabolicData,
     act,
     act_B,
     act_P,

@@ -22,7 +22,6 @@ from .linalg import (
     Flag,
     Subspace,
     apply_functional,
-    complement,
     coords_to_ambient,
     enumerate_subspaces,
     normalize_functional,
@@ -30,13 +29,12 @@ from .linalg import (
     quotient_functional,
     rational_kernel,
     rref,
-    subspace_in_coords,
 )
 from .points import (
     BPoint,
     PPoint,
     QPoint,
-    _solve_in_basis,
+    _quotient_projection,
     b_classify,
     p_classify,
     q_classify,
@@ -83,13 +81,7 @@ class GroupElement:
 
     def compose(self, other):
         "Matrix product self * other, so (self*other)(v) = self(other(v))."
-        n = self.n_plus_1
-        cols = list(zip(*other.matrix))
-        rows = [
-            [apply_functional(self.matrix[i], cols[j]) for j in range(n)]
-            for i in range(n)
-        ]
-        return GroupElement(self.ctx, rows)
+        return GroupElement(self.ctx, _mat_mul(self.matrix, other.matrix))
 
     def inverse(self):
         "Inverse by Gauss-Jordan on the augmented matrix."
@@ -131,20 +123,6 @@ class GroupElement:
 
     def __repr__(self):
         return f"GroupElement({self.matrix})"
-
-
-class ParabolicData:
-    """A flag with its deterministic complement decomposition
-    V = C_last + ... + C_0 (summands listed top quotient first)."""
-
-    __slots__ = ("flag", "blocks")
-
-    def __init__(self, flag, ctx):
-        chain = flag.chain(ctx)
-        self.flag = flag
-        self.blocks = tuple(
-            complement(chain[t + 1], chain[t]) for t in range(len(chain) - 1)
-        )
 
 
 def pgl_order(n_plus_1, q):
@@ -269,10 +247,8 @@ def stabilizer_bruteforce(x, group=None):
     mismatch instead of building x.g; nothing of the predicted route is
     consulted.  The result is asserted to be a subgroup.
     """
-    ctx = x.ctx
-    n_plus_1 = x.n_plus_1 if not isinstance(x, PPoint) else len(x.coords)
     if group is None:
-        group = enumerate_pgl(n_plus_1, ctx)
+        group = enumerate_pgl(x.n_plus_1, x.ctx)
     stab = [g for g in group if fixes(x, g)]
     members = set(stab)
     for g in stab:
@@ -367,15 +343,7 @@ class _QuotientBlock:
     __slots__ = ("pivots", "amb_basis", "projection", "dense")
 
     def __init__(self, big, small, coords, ctx):
-        s = big.dim
-        small_c = subspace_in_coords(big, small)
-        comp_c = complement(small_c, Subspace.full(s, ctx))
-        basis_rows = list(small_c.rows) + list(comp_c.rows)
-        # row j: complement coordinates of the j-th coordinate vector of big
-        by_coordinate = [
-            _solve_in_basis(basis_rows, e_j, ctx)[small_c.dim :]
-            for e_j in Subspace.full(s, ctx).rows
-        ]
+        small_c, comp_c, by_coordinate = _quotient_projection(big, small, ctx)
         self.pivots = big.pivots()
         self.amb_basis = coords_to_ambient(big, comp_c.rows)
         self.projection = tuple(zip(*by_coordinate))
@@ -400,12 +368,10 @@ def _predicted_blocks(x):
     stabilizer description: (subspaces g must preserve, quotient blocks)."""
     ctx = x.ctx
     if isinstance(x, PPoint):
-        n_plus_1 = len(x.coords)
         sub = p_classify(x)
-        big = Subspace.full(n_plus_1, ctx)
-        small = sub if sub.dim else Subspace.zero(n_plus_1)
+        big = Subspace.full(x.n_plus_1, ctx)
         invariant = [sub] if sub.dim else []
-        return invariant, [_QuotientBlock(big, small, x.coords, ctx)]
+        return invariant, [_QuotientBlock(big, sub, x.coords, ctx)]
     if isinstance(x, QPoint):
         sub = q_classify(x)
         # the covector on the support span, recovered from 1/r on its basis
@@ -435,14 +401,13 @@ def stabilizer_predicted(x, group=None):
     B: g fixes the stratum flag and every induced diagonal block passes the
     check against its quotient covector.
     """
-    ctx = x.ctx
-    n_plus_1 = len(x.coords) if isinstance(x, PPoint) else x.n_plus_1
     if group is None:
-        group = enumerate_pgl(n_plus_1, ctx)
+        group = enumerate_pgl(x.n_plus_1, x.ctx)
     invariant, blocks = _predicted_blocks(x)
     out = []
     for g in group:
-        if any(g.apply_subspace(m) != m for m in invariant):
+        # g is invertible, so g(m) inside m already means g(m) = m
+        if not all(m.contains_vector(g.apply(r)) for m in invariant for r in m.rows):
             continue
         if all(block.passes(g) for block in blocks):
             out.append(g)
@@ -457,8 +422,7 @@ def stratum_flag(x):
     "The flag indexing the stratum of any point kind."
     if isinstance(x, PPoint):
         sub = p_classify(x)
-        n_plus_1 = len(x.coords)
-        return Flag(n_plus_1, (sub,) if sub.dim else ())
+        return Flag(x.n_plus_1, (sub,) if sub.dim else ())
     if isinstance(x, QPoint):
         sub = q_classify(x)
         return Flag(x.n_plus_1, (sub,) if sub.dim < x.n_plus_1 else ())
@@ -481,14 +445,13 @@ def unipotent_radical_k(flag, ctx, group=None):
     k_units = [a for a in ctx.k_elements if a]
     out = []
     for g in group:
-        if any(_nilpotent_along_chain(g, c, chain, ctx) for c in k_units):
+        if any(_nilpotent_along_chain(g, c, chain) for c in k_units):
             out.append(g)
     return sorted(out, key=GroupElement.sort_key)
 
 
-def _nilpotent_along_chain(g, c, chain, ctx):
+def _nilpotent_along_chain(g, c, chain):
     "(c*M - id) maps chain[t] into chain[t+1] for every step."
-    n = g.n_plus_1
     for t in range(len(chain) - 1):
         big, small = chain[t], chain[t + 1]
         for r in big.rows:
@@ -505,7 +468,6 @@ def is_unipotent(g):
     id + nilpotent."""
     p = g.ctx.p
     n = g.order()
-    by_order = True
     while n % p == 0:
         n //= p
     by_order = n == 1
@@ -530,18 +492,16 @@ def _unipotent_matrix_criterion(g):
         # (cM - id)^(n) = 0 iff the matrix is nilpotent
         power = rows
         for _ in range(n - 1):
-            power = _mat_mul(power, rows, ctx)
+            power = _mat_mul(power, rows)
         if all(not a for r in power for a in r):
             return True
     return False
 
 
-def _mat_mul(a, b, ctx):
-    n = len(a)
+def _mat_mul(a, b):
+    "Product of square matrices given by rows."
     cols = list(zip(*b))
-    return [
-        [apply_functional(a[i], cols[j]) for j in range(n)] for i in range(n)
-    ]
+    return [[apply_functional(row, col) for col in cols] for row in a]
 
 
 def unipotent_elements(group_subset):

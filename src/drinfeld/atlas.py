@@ -12,6 +12,7 @@ independent of the worker count used for counting.
 
 import json
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 from .field import FieldCtx
@@ -126,23 +127,16 @@ def _count_task(task):
     ctx = _WORKER["ctx"]
     variety = _WORKER["variety"]
     n_plus_1 = _WORKER["n_plus_1"]
-    counts = {}
     if variety == "P":
         funcs = enumerate_functionals(n_plus_1, ctx, m)[lo:hi]
-        for coords in funcs:
-            key = subspace_str(p_classify(PPoint(ctx, coords)), ctx)
-            counts[key] = counts.get(key, 0) + 1
+        keys = (subspace_str(p_classify(PPoint(ctx, c)), ctx) for c in funcs)
     elif variety == "Q":
-        sub = _WORKER["strata"][index]
-        for x in q_enumerate_stratum(sub, ctx, m):
-            key = subspace_str(q_classify(x), ctx)
-            counts[key] = counts.get(key, 0) + 1
+        points = q_enumerate_stratum(_WORKER["strata"][index], ctx, m)
+        keys = (subspace_str(q_classify(x), ctx) for x in points)
     else:
-        flag = _WORKER["strata"][index]
-        for x in b_enumerate_flag(flag, ctx, m):
-            key = flag_str(b_classify(x), ctx)
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+        points = b_enumerate_flag(_WORKER["strata"][index], ctx, m)
+        keys = (flag_str(b_classify(x), ctx) for x in points)
+    return Counter(keys)
 
 
 def _tasks_for(variety, n_plus_1, ctx, m):
@@ -169,11 +163,7 @@ def count_stratum_points(variety, n_plus_1, ctx, m, jobs=1):
     else:
         _worker_init(params)
         results = [_count_task(t) for t in tasks]
-    merged = {}
-    for part in results:
-        for key, n in part.items():
-            merged[key] = merged.get(key, 0) + n
-    return merged
+    return dict(sum(results, Counter()))
 
 
 # --- cache ------------------------------------------------------------------
@@ -193,24 +183,15 @@ def _cache_load(cache_dir, variety, ctx, n_plus_1, m):
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return None
-    expected = {
-        "schema_version": SCHEMA_VERSION,
-        "variety": variety,
-        "p": ctx.p,
-        "e": ctx.e,
-        "q": ctx.q,
-        "n": n_plus_1 - 1,
-        "m": m,
-        "modulus": list(ctx.modulus),
-    }
+    expected = _cache_header(variety, ctx, n_plus_1, m)
     if any(obj.get(k) != v for k, v in expected.items()):
         return None
     return obj.get("counts")
 
 
-def _cache_store(cache_dir, variety, ctx, n_plus_1, m, counts):
-    os.makedirs(cache_dir, exist_ok=True)
-    obj = {
+def _cache_header(variety, ctx, n_plus_1, m):
+    "What a cache file must record besides its counts to be read back."
+    return {
         "schema_version": SCHEMA_VERSION,
         "variety": variety,
         "p": ctx.p,
@@ -219,8 +200,12 @@ def _cache_store(cache_dir, variety, ctx, n_plus_1, m, counts):
         "n": n_plus_1 - 1,
         "m": m,
         "modulus": list(ctx.modulus),
-        "counts": counts,
     }
+
+
+def _cache_store(cache_dir, variety, ctx, n_plus_1, m, counts):
+    os.makedirs(cache_dir, exist_ok=True)
+    obj = {**_cache_header(variety, ctx, n_plus_1, m), "counts": counts}
     path = _cache_path(cache_dir, variety, ctx, n_plus_1, m)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True, separators=(",", ":"))

@@ -32,21 +32,20 @@ from .action import (
     stabilizer_predicted,
     unipotent_elements,
 )
-from .verify import VerifyConfig, run_acceptance, verify_all
+from .verify import CHECKS, VerifyConfig, run_acceptance, verify_all
 
 
-def _add_common(parser):
-    parser.add_argument("--p", type=int, default=2, help="field characteristic")
-    parser.add_argument("--e", type=int, default=1, help="base degree, q = p^e")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="seed for randomized perturbation tests (results stay deterministic)",
-    )
+def _at_least(args, name, low):
+    "ValueError unless the option --name is at least low."
+    value = getattr(args, name)
+    if value < low:
+        option = "--" + name.replace("_", "-")
+        raise ValueError(f"{option} must be at least {low}, got {value}")
 
 
-def _read_point(args, validate=True):
-    return point_from_obj(_read_obj(args), validate=validate)
+def _out_json(obj):
+    "obj as one line of canonical JSON."
+    _out(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode() + b"\n")
 
 
 def _out(data):
@@ -97,7 +96,7 @@ def cmd_classify(args):
             else:
                 result["reason"] = check.code
     if args.format == "json":
-        _out(json.dumps(result, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+        _out_json(result)
     else:
         for key in ("variety", "valid", "stratum", "reason", "witness"):
             if key in result:
@@ -110,7 +109,7 @@ def _matrix_str(g):
 
 
 def cmd_stabilizer(args):
-    point = _read_point(args)
+    point = point_from_obj(_read_obj(args))
     brute = stabilizer_bruteforce(point)
     predicted = stabilizer_predicted(point)
     uni = unipotent_elements(brute)
@@ -121,7 +120,7 @@ def cmd_stabilizer(args):
         "bruteforce_equals_predicted": brute == predicted,
     }
     if args.format == "json":
-        _out(json.dumps(result, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+        _out_json(result)
     else:
         print(f"order: {result['order']}")
         print(f"bruteforce_equals_predicted: {str(result['bruteforce_equals_predicted']).lower()}")
@@ -146,10 +145,8 @@ def _parse_m_list(text):
 
 
 def _build(args):
-    if args.n < 1:
-        raise ValueError(f"--n must be at least 1, got {args.n}")
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    _at_least(args, "n", 1)
+    _at_least(args, "jobs", 1)
     m_list = _parse_m_list(args.m) if args.m else []
     ctx = context_for(args.p, args.e, args.n + 1, m_list or [1])
     cache_dir = None if args.no_cache else args.cache_dir
@@ -183,7 +180,7 @@ def cmd_count(args):
                 for key, _ in atlas.nodes
             },
         }
-        _out(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+        _out_json(obj)
     else:
         _out(export(atlas, "text"))
     return 0
@@ -195,6 +192,10 @@ def cmd_verify(args):
         results = run_acceptance()
     else:
         try:
+            for name, low in (
+                ("max_n", 1), ("max_m", 1), ("perturbations", 0), ("jobs", 1)
+            ):
+                _at_least(args, name, low)
             qs = tuple(int(t) for t in args.q.split(","))
             for q in qs:
                 if not is_prime(q):
@@ -214,9 +215,8 @@ def cmd_verify(args):
         except ValueError as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return 2
-        known = {name.split(".")[0] for name, _ in _known_checks()} | {
-            name for name, _ in _known_checks()
-        }
+        names = [name for name, _ in CHECKS]
+        known = set(names) | {name.split(".")[0] for name in names}
         for s in cfg.suites:
             if s not in known:
                 print(f"configuration error: unknown suite {s!r}", file=sys.stderr)
@@ -235,12 +235,6 @@ def cmd_verify(args):
     return exit_code
 
 
-def _known_checks():
-    from .verify import CHECKS
-
-    return CHECKS
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="drinfeld",
@@ -251,23 +245,22 @@ def main(argv=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_classify_cmd = sub.add_parser("classify", help="classify a point read as JSON")
-    p_classify_cmd.add_argument("--input", default="-", help="point JSON file, - for stdin")
-    p_classify_cmd.add_argument("--format", choices=("text", "json"), default="text")
-    _add_common(p_classify_cmd)
-    p_classify_cmd.set_defaults(fn=cmd_classify)
-
-    p_stab = sub.add_parser("stabilizer", help="stabilizer of a point read as JSON")
-    p_stab.add_argument("--input", default="-", help="point JSON file, - for stdin")
-    p_stab.add_argument("--format", choices=("text", "json"), default="text")
-    _add_common(p_stab)
-    p_stab.set_defaults(fn=cmd_stabilizer)
+    # allow_abbrev=False: a prefix of one option must not silently stand in
+    # for another (verify --p would otherwise read as --perturbations)
+    for name, fn, help_text in (
+        ("classify", cmd_classify, "classify a point read as JSON"),
+        ("stabilizer", cmd_stabilizer, "stabilizer of a point read as JSON"),
+    ):
+        p_cmd = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p_cmd.add_argument("--input", default="-", help="point JSON file, - for stdin")
+        p_cmd.add_argument("--format", choices=("text", "json"), default="text")
+        p_cmd.set_defaults(fn=fn)
 
     for name, fn, help_text in (
         ("strata", cmd_strata, "stratification poset with counts"),
         ("count", cmd_count, "per-stratum point counts"),
     ):
-        p_cmd = sub.add_parser(name, help=help_text)
+        p_cmd = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p_cmd.add_argument("--variety", choices=("P", "Q", "B"), required=True)
         p_cmd.add_argument("--n", type=int, required=True, help="dim V = n+1")
         p_cmd.add_argument("--m", default="", help="extension degrees, e.g. 1,2")
@@ -278,10 +271,14 @@ def main(argv=None):
         )
         p_cmd.add_argument("--cache-dir", default=None)
         p_cmd.add_argument("--no-cache", action="store_true")
-        _add_common(p_cmd)
+        p_cmd.add_argument("--p", type=int, default=2, help="field characteristic")
+        p_cmd.add_argument("--e", type=int, default=1, help="base degree, q = p^e")
+        p_cmd.add_argument("--jobs", type=int, default=1, help="worker processes")
         p_cmd.set_defaults(fn=fn)
 
-    p_verify = sub.add_parser("verify", help="run invariant suites / acceptance")
+    p_verify = sub.add_parser(
+        "verify", help="run invariant suites / acceptance", allow_abbrev=False
+    )
     p_verify.add_argument("--acceptance", action="store_true",
                           help="run the pinned acceptance criteria instead")
     p_verify.add_argument("--q", default="2", help="comma list of field sizes")
@@ -289,7 +286,11 @@ def main(argv=None):
     p_verify.add_argument("--max-m", type=int, default=2)
     p_verify.add_argument("--perturbations", type=int, default=1000)
     p_verify.add_argument("--suites", default="", help="comma list, e.g. field,points")
-    _add_common(p_verify)
+    p_verify.add_argument(
+        "--seed", type=int, default=0,
+        help="seed for randomized perturbation tests (results stay deterministic)",
+    )
+    p_verify.add_argument("--jobs", type=int, default=1, help="worker processes")
     p_verify.set_defaults(fn=cmd_verify)
 
     args = parser.parse_args(argv)

@@ -355,20 +355,17 @@ class Element:
         return "poly" + str(_poly_trim(self.coeffs))
 
 
-def _int_kernel_mod_p(rows, p):
-    "Basis of the right kernel of an integer matrix mod p, as int vectors."
-    if not rows:
-        return []
-    ncols = len(rows[0])
+def _int_rref_mod_p(rows, p):
+    """Gauss-Jordan elimination of an integer matrix mod p.
+
+    Returns (the nonzero reduced rows, their pivot columns), entries in
+    range(p).
+    """
     mat = [list(r) for r in rows]
     pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] % p:
-                piv = r
-                break
+    for col in range(len(mat[0]) if mat else 0):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col] % p), None)
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
@@ -379,14 +376,23 @@ def _int_kernel_mod_p(rows, p):
                 c = mat[r][col]
                 mat[r] = [(a - c * b) % p for a, b in zip(mat[r], mat[rank])]
         pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    return mat[: len(pivots)], pivots
+
+
+def _int_kernel_mod_p(rows, p):
+    "Basis of the right kernel of an integer matrix mod p, as int vectors."
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    ech, pivots = _int_rref_mod_p(rows, p)
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivots:
+            continue
         vec = [0] * ncols
         vec[f] = 1
         for i, c in enumerate(pivots):
-            vec[c] = (-mat[i][f]) % p
+            vec[c] = (-ech[i][f]) % p
         basis.append(vec)
     return basis
 

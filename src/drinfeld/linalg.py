@@ -9,7 +9,7 @@ subspaces, ordered ascending (smallest member first).
 from functools import lru_cache
 from itertools import combinations, product
 
-from .field import _int_kernel_mod_p
+from .field import _int_kernel_mod_p, _int_rref_mod_p
 
 
 def rref(rows):
@@ -291,34 +291,9 @@ def _k_basis(ctx):
     "An F_p-basis of k inside the ambient field."
     els = ctx.subfield_elements(1)
     rows = [list(a.coeffs) for a in els]
-    ech, rank = _int_rref_mod_p(rows, ctx.p)
-    assert rank == ctx.e
-    return tuple(ctx.element(r) for r in ech[:rank])
-
-
-def _int_rref_mod_p(rows, p):
-    mat = [list(r) for r in rows]
-    if not mat:
-        return [], 0
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        mat[rank] = [(inv * v) % p for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] % p:
-                c = mat[r][col]
-                mat[r] = [(a - c * b) % p for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return mat, rank
+    ech, pivots = _int_rref_mod_p(rows, ctx.p)
+    assert len(pivots) == ctx.e
+    return tuple(ctx.element(r) for r in ech)
 
 
 def gaussian_binomial(n, d, q):
@@ -425,11 +400,6 @@ def quotient_functional(coords, sub, ctx):
     comp = complement(sub, Subspace.full(s, ctx))
     induced = tuple(apply_functional(coords, r) for r in comp.rows)
     return comp, normalize_functional(induced)
-
-
-def restrict_functional(coords, sub):
-    "Values of the functional on sub's echelon basis rows (not normalized)."
-    return tuple(apply_functional(coords, r) for r in sub.rows)
 
 
 def subspace_in_coords(within, sub):

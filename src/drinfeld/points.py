@@ -23,11 +23,14 @@ from .linalg import (
     Subspace,
     all_subspaces,
     apply_functional,
+    complement,
+    coords_to_ambient,
     enumerate_flags,
     normalize_functional,
     functional_ratio,
     rational_kernel,
     rref,
+    subspace_in_coords,
     vec_key,
 )
 
@@ -325,15 +328,12 @@ def q_enumerate(ctx, n_plus_1, m):
 def q_bruteforce(ctx, n_plus_1, m):
     "All valid tables found by filtering every normalized table; tiny sizes."
     vectors = canonical_vectors(n_plus_1, ctx)
-    els = ctx.subfield_elements(m)
     out = []
-    for lead in range(len(vectors)):
-        head = (ctx.zero,) * lead + (ctx.one,)
-        for tail in product(els, repeat=len(vectors) - lead - 1):
-            values = head + tail
-            table = dict(zip(vectors, values))
-            if q_validate(table, ctx, n_plus_1):
-                out.append(QPoint(ctx, n_plus_1, table, validate=False))
+    # a normalized table is a normalized functional with one entry per vector
+    for values in enumerate_functionals(len(vectors), ctx, m):
+        table = dict(zip(vectors, values))
+        if q_validate(table, ctx, n_plus_1):
+            out.append(QPoint(ctx, n_plus_1, table, validate=False))
     return out
 
 
@@ -451,14 +451,7 @@ def _kernel_chain(x):
         ker = rational_kernel(x.family[cur], ctx)
         if ker.dim == 0:
             break
-        ambient_rows = []
-        for kr in ker.rows:
-            acc = [ctx.zero] * x.n_plus_1
-            for c, row in zip(kr, cur.rows):
-                if c:
-                    acc = [a + c * b for a, b in zip(acc, row)]
-            ambient_rows.append(tuple(acc))
-        nxt = Subspace.span(x.n_plus_1, ambient_rows)
+        nxt = Subspace.span(x.n_plus_1, coords_to_ambient(cur, ker.rows))
         chain.append(nxt)
         cur = nxt
     return chain
@@ -504,32 +497,23 @@ def b_from_flag_data(flag, parts, ctx):
     subspace W inherits the restriction from the smallest chain member
     containing it not inside the next one.
     """
-    from .linalg import complement, subspace_in_coords
-
     chain = flag.chain(ctx)
     if len(parts) != len(chain) - 1:
         raise ValueError(f"need {len(chain) - 1} quotient parts, got {len(parts)}")
     n_plus_1 = flag.n_plus_1
     member_funcs = {}
     for t in range(len(chain) - 1):
-        big, small = chain[t], chain[t + 1]
-        s = big.dim
-        small_c = subspace_in_coords(big, small)
-        comp_c = complement(small_c, Subspace.full(s, ctx))
+        big = chain[t]
+        _, comp_c, by_coordinate = _quotient_projection(big, chain[t + 1], ctx)
         part = tuple(parts[t])
         if len(part) != comp_c.dim:
             raise ValueError("part length must match the quotient dimension")
         if rational_kernel(part, ctx).dim != 0:
             raise ValueError("part must have trivial rational kernel in its quotient")
         # value on the j-th coordinate basis vector of big: project along small
-        coords = []
-        basis_rows = list(small_c.rows) + list(comp_c.rows)
-        for j in range(s):
-            e_j = tuple(ctx.one if i == j else ctx.zero for i in range(s))
-            sol = _solve_in_basis(basis_rows, e_j, ctx)
-            comp_part = sol[small_c.dim:]
-            coords.append(apply_functional(part, comp_part) if comp_c.dim else ctx.zero)
-        member_funcs[big] = normalize_functional(tuple(coords))
+        member_funcs[big] = normalize_functional(
+            tuple(apply_functional(part, row) for row in by_coordinate)
+        )
     family = {}
     for W in all_subspaces(n_plus_1, ctx, include_zero=False):
         t = 0
@@ -550,6 +534,20 @@ def b_from_flag_data(flag, parts, ctx):
     x = BPoint(ctx, n_plus_1, family, validate=False)
     assert b_classify(x) == flag
     return x
+
+
+def _quotient_projection(big, small, ctx):
+    """small in big's coordinates, its complement there, and the projection
+    along small onto the complement coordinates: row j of the last holds the
+    complement coordinates of big's j-th coordinate vector."""
+    small_c = subspace_in_coords(big, small)
+    full = Subspace.full(big.dim, ctx)
+    comp_c = complement(small_c, full)
+    basis_rows = list(small_c.rows) + list(comp_c.rows)
+    by_coordinate = [
+        _solve_in_basis(basis_rows, e_j, ctx)[small_c.dim :] for e_j in full.rows
+    ]
+    return small_c, comp_c, by_coordinate
 
 
 def _solve_in_basis(rows, v, ctx):
@@ -614,14 +612,7 @@ def rho_map(x):
     """
     chain = _kernel_chain(x)
     sub = chain[-1] if chain else Subspace.full(x.n_plus_1, x.ctx)
-    ctx = x.ctx
-    table = {}
-    for v in canonical_vectors(x.n_plus_1, ctx):
-        if sub.contains_vector(v):
-            table[v] = x.value(sub, v).inverse()
-        else:
-            table[v] = ctx.zero
-    return QPoint(ctx, x.n_plus_1, table)
+    return q_from_omega(x.family[sub], sub, x.ctx, x.n_plus_1)
 
 
 # ---------------------------------------------------------------------------
@@ -638,9 +629,21 @@ def vector_str(v, ctx):
     return ",".join(str(idx[a]) for a in v)
 
 
+@lru_cache(maxsize=None)
+def _k_by_index_str(ctx):
+    return {str(i): a for i, a in enumerate(ctx.k_elements)}
+
+
 def vector_from_str(s, ctx):
-    els = ctx.k_elements
-    return tuple(els[int(t)] for t in s.split(","))
+    """Inverse of vector_str: each entry is an index 0..q-1 into ctx.k_elements,
+    written as vector_str writes it (no sign, no leading zero)."""
+    els = _k_by_index_str(ctx)
+    try:
+        return tuple(els[t] for t in s.split(","))
+    except KeyError:
+        raise ValueError(
+            f"vector {s!r} is not a list of indices in range({len(els)})"
+        ) from None
 
 
 def subspace_str(sub, ctx):
@@ -653,6 +656,8 @@ def subspace_from_str(s, ctx, n_plus_1):
     if s == "0":
         return Subspace.zero(n_plus_1)
     rows = [vector_from_str(t, ctx) for t in s.split(";")]
+    if any(len(r) != n_plus_1 for r in rows):
+        raise ValueError(f"subspace {s!r} has a vector without {n_plus_1} entries")
     sub = Subspace.span(n_plus_1, rows)
     if sub.rows != tuple(rows):
         raise ValueError("subspace rows are not in canonical echelon form")
@@ -704,22 +709,53 @@ def point_to_obj(x):
     raise TypeError(f"not a point: {x!r}")
 
 
+_JSON_NAMES = {int: "integer", str: "string", list: "array", dict: "object"}
+
+
 def _json_fields(obj, keys, what):
-    "The values of keys in obj; ValueError unless obj is a JSON object holding them."
+    """The values of keys in obj; ValueError unless obj is a JSON object holding
+    them.  keys maps each key to the type its value must have."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object")
-    for key in keys:
+    for key, kind in keys.items():
         if key not in obj:
             raise ValueError(f"{what} has no {key!r} key")
+        # the exact type: a JSON true decodes to a bool, which is an int
+        if type(obj[key]) is not kind:
+            raise ValueError(f"{what} {key!r} must be a JSON {_JSON_NAMES[kind]}")
     return [obj[key] for key in keys]
+
+
+def _int_list(value, what):
+    "value itself; ValueError unless it is a JSON array of integers."
+    if type(value) is not list or any(type(c) is not int for c in value):
+        raise ValueError(f"{what} must be a JSON array of integers")
+    return value
+
+
+def _element(value, ctx):
+    "A field element from its JSON array of coefficients."
+    return ctx.element(_int_list(value, "a field element"))
+
+
+def _elements(values, ctx, what):
+    "Field elements from a JSON array of coefficient arrays."
+    if type(values) is not list:
+        raise ValueError(f"{what} must be a JSON array")
+    return tuple(_element(c, ctx) for c in values)
 
 
 def _point_header(obj, ctx):
     "Kind, field context and data of a point's JSON dict; the field is verified."
     from .field import FieldCtx
 
-    kind, fld, data = _json_fields(obj, ("kind", "field", "data"), "point")
-    p, e, D, modulus = _json_fields(fld, ("p", "e", "D", "modulus"), "field")
+    kind, fld, data = _json_fields(
+        obj, {"kind": str, "field": dict, "data": dict}, "point"
+    )
+    p, e, D, modulus = _json_fields(
+        fld, {"p": int, "e": int, "D": int, "modulus": list}, "field"
+    )
+    _int_list(modulus, "field 'modulus'")
     if ctx is None:
         ctx = FieldCtx(p, e, D, tuple(modulus))
     elif (ctx.p, ctx.e, ctx.D, ctx.modulus) != (p, e, D, tuple(modulus)):
@@ -728,9 +764,10 @@ def _point_header(obj, ctx):
 
 
 def _q_table(data, ctx):
-    "n_plus_1 and the table of a Q point's data object, values unchecked."
-    n_plus_1, table = _json_fields(data, ("n_plus_1", "table"), "data")
-    return n_plus_1, {vector_from_str(k, ctx): ctx.element(v) for k, v in table.items()}
+    "n_plus_1 and the table of a Q point's data object, axioms unchecked."
+    n_plus_1, table = _json_fields(data, {"n_plus_1": int, "table": dict}, "data")
+    table = {vector_from_str(k, ctx): _element(v, ctx) for k, v in table.items()}
+    return n_plus_1, table
 
 
 def q_table_from_obj(obj):
@@ -749,15 +786,15 @@ def point_from_obj(obj, ctx=None, validate=True):
     """
     kind, ctx, data = _point_header(obj, ctx)
     if kind == "P":
-        (coords,) = _json_fields(data, ("coords",), "data")
-        return PPoint(ctx, tuple(ctx.element(c) for c in coords))
+        (coords,) = _json_fields(data, {"coords": list}, "data")
+        return PPoint(ctx, _elements(coords, ctx, "data 'coords'"))
     if kind == "Q":
         n_plus_1, table = _q_table(data, ctx)
         return QPoint(ctx, n_plus_1, table, validate=validate)
     if kind == "B":
-        n_plus_1, family = _json_fields(data, ("n_plus_1", "family"), "data")
+        n_plus_1, family = _json_fields(data, {"n_plus_1": int, "family": dict}, "data")
         family = {
-            subspace_from_str(k, ctx, n_plus_1): tuple(ctx.element(c) for c in v)
+            subspace_from_str(k, ctx, n_plus_1): _elements(v, ctx, "a family value")
             for k, v in family.items()
         }
         return BPoint(ctx, n_plus_1, family, validate=validate)

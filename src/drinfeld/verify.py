@@ -19,6 +19,7 @@ place of the unipotent-element subset, is verified by
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from .field import context_for, frobenius_k
@@ -107,6 +108,26 @@ def _all_points(ctx, n_plus_1, m):
         + q_enumerate(ctx, n_plus_1, m)
         + b_enumerate(ctx, n_plus_1, m)
     )
+
+
+def _p_total(q, n_plus_1, m):
+    "|P(k_m)|: the normalized covectors of length n+1 over k_m."
+    return (q ** (m * n_plus_1) - 1) // (q**m - 1)
+
+
+def _q_total(ctx, n_plus_1, m):
+    "|Q(k_m)|: one dense point of each nonzero subspace over k_m."
+    subs = all_subspaces(n_plus_1, ctx, include_zero=False)
+    return sum(len(enumerate_omega(s.dim, ctx, m)) for s in subs)
+
+
+def _b_flag_count(flag, ctx, m):
+    "B points over k_m on the stratum of flag: one dense point per quotient."
+    chain = flag.chain(ctx)
+    prod = 1
+    for t in range(len(chain) - 1):
+        prod *= len(enumerate_omega(chain[t].dim - chain[t + 1].dim, ctx, m))
+    return prod
 
 
 # --------------------------------------------------------------------------
@@ -240,13 +261,10 @@ def check_linalg_canonical_uniqueness(cfg):
 def check_points_partition_p(cfg):
     for q, n_plus_1, m, ctx in _configs(cfg):
         pts = p_enumerate(ctx, n_plus_1, m)
-        want = (q ** (m * n_plus_1) - 1) // (q**m - 1)
+        want = _p_total(q, n_plus_1, m)
         if len(pts) != want:
             return False, f"|P| = {len(pts)} != {want} at q={q} n+1={n_plus_1} m={m}"
-        per = {}
-        for x in pts:
-            per[p_classify(x)] = per.get(p_classify(x), 0) + 1
-        if sum(per.values()) != want:
+        if sum(Counter(p_classify(x) for x in pts).values()) != want:
             return False, "classification lost points"
     return True, ""
 
@@ -269,8 +287,12 @@ def check_points_q_support(cfg):
     return True, ""
 
 
-def check_points_b_two_tests(cfg):
+def _b_two_tests(cfg):
+    """Both compatibility tests on every constructed family, then on
+    cfg.perturbations families with one functional replaced at random, per
+    configuration.  Returns (ok, detail, number of families checked)."""
     rng = random.Random(cfg.seed)
+    checked = 0
     for q, n_plus_1, m, ctx in _configs(cfg):
         pts = b_enumerate(ctx, n_plus_1, m)
         subs = all_subspaces(n_plus_1, ctx, include_zero=False)
@@ -278,7 +300,7 @@ def check_points_b_two_tests(cfg):
             a, _ = incidence_minors_ok(x.family, ctx)
             b, _ = restriction_proportional_ok(x.family, ctx)
             if not a or not b:
-                return False, "constructed family failed validation"
+                return False, "constructed family failed validation", checked
         for _ in range(cfg.perturbations):
             x = rng.choice(pts)
             W = rng.choice(subs)
@@ -287,8 +309,15 @@ def check_points_b_two_tests(cfg):
             a, wit_a = incidence_minors_ok(fam, ctx)
             b, wit_b = restriction_proportional_ok(fam, ctx)
             if a != b:
-                return False, f"tests disagree ({a} vs {b}) at witness {wit_a or wit_b}"
-    return True, ""
+                detail = f"tests disagree ({a} vs {b}) at witness {wit_a or wit_b}"
+                return False, detail, checked
+        checked += len(pts) + cfg.perturbations
+    return True, "", checked
+
+
+def check_points_b_two_tests(cfg):
+    ok, detail, _ = _b_two_tests(cfg)
+    return ok, detail
 
 
 def check_points_b_closure_index(cfg):
@@ -305,11 +334,7 @@ def check_points_b_closure_index(cfg):
                 if got != fl:
                     return False, "classification does not return the built flag"
             classified[fl] = len(pts)
-            chain = fl.chain(ctx)
-            prod = 1
-            for t in range(len(chain) - 1):
-                prod *= len(enumerate_omega(chain[t].dim - chain[t + 1].dim, ctx, m))
-            if prod != len(pts):
+            if _b_flag_count(fl, ctx, m) != len(pts):
                 return False, f"product formula mismatch for {fl!r}"
         # the closure-index set of each stratum is its refinement up-set;
         # reflexivity, antisymmetry and transitivity of the order
@@ -397,7 +422,7 @@ def _theorem_sweep(shared, ranges):
     "Stabilizers two ways for every point at the given (q, n+1, ms) ranges."
     key = ("stabs", ranges)
     if key in shared:
-        return shared[key], shared[("stabs_ok", ranges)]
+        return shared[key]
     stabs = {}
     ok, detail = True, ""
     for q, n_plus_1, ms in ranges:
@@ -416,64 +441,57 @@ def _theorem_sweep(shared, ranges):
                     )
                 entries.append((x, bf))
             stabs[(q, n_plus_1, m, ctx)] = entries
-    shared[key] = stabs
-    shared[("stabs_ok", ranges)] = (ok, detail)
-    return stabs, (ok, detail)
+    shared[key] = stabs, (ok, detail)
+    return shared[key]
 
 
-def check_action_stabilizer_theorem(cfg, shared=None, ranges=None):
-    shared = shared if shared is not None else {}
-    ranges = ranges or _cfg_theorem_ranges(cfg)
-    _, (ok, detail) = _theorem_sweep(shared, ranges)
+def check_action_stabilizer_theorem(cfg, shared):
+    _, (ok, detail) = _theorem_sweep(shared, _cfg_theorem_ranges(cfg))
     return ok, detail
 
 
-def check_action_corollary_restated(cfg, shared=None, ranges=None):
+def _sweep_with_radicals(shared, ranges):
+    """(q, n+1, m, x, Stab(x), radical of x's stratum parabolic) over the
+    theorem sweep; each radical is computed once per shared dict."""
+    stabs, _ = _theorem_sweep(shared, ranges)
+    radicals = shared.setdefault("radicals", {})
+    for (q, n_plus_1, m, ctx), entries in stabs.items():
+        for x, stab in entries:
+            fl = stratum_flag(x)
+            if (fl, ctx) not in radicals:
+                group = enumerate_pgl(n_plus_1, ctx)
+                radicals[(fl, ctx)] = unipotent_radical_k(fl, ctx, group)
+            yield q, n_plus_1, m, x, stab, radicals[(fl, ctx)]
+
+
+def check_action_corollary_restated(cfg, shared, ranges=None):
     """The literal restatement: unipotent elements of Stab(x) equal the
     radical of the stratum parabolic.  Fails for strata with a free diagonal
     block of dimension >= 2; see the module note."""
-    shared = shared if shared is not None else {}
     ranges = ranges or _cfg_theorem_ranges(cfg)
-    stabs, _ = _theorem_sweep(shared, ranges)
-    for (q, n_plus_1, m, ctx), entries in stabs.items():
-        group = enumerate_pgl(n_plus_1, ctx)
-        radicals = {}
-        for x, stab in entries:
-            fl = stratum_flag(x)
-            if fl not in radicals:
-                radicals[fl] = unipotent_radical_k(fl, ctx, group)
-            uni = unipotent_elements(stab)
-            if uni != radicals[fl]:
-                return False, (
-                    f"unipotent elements ({len(uni)}) != radical "
-                    f"({len(radicals[fl])}) at q={q} n+1={n_plus_1} m={m} "
-                    f"for a {type(x).__name__} in a stratum with an "
-                    f"unconstrained block"
-                )
+    for q, n_plus_1, m, x, stab, radical in _sweep_with_radicals(shared, ranges):
+        uni = unipotent_elements(stab)
+        if uni != radical:
+            return False, (
+                f"unipotent elements ({len(uni)}) != radical "
+                f"({len(radical)}) at q={q} n+1={n_plus_1} m={m} "
+                f"for a {type(x).__name__} in a stratum with an "
+                f"unconstrained block"
+            )
     return True, ""
 
 
-def check_action_corollary_normal_core(cfg, shared=None, ranges=None):
+def check_action_corollary_normal_core(cfg, shared, ranges=None):
     "Corrected identity: the largest normal p-subgroup equals the radical."
-    shared = shared if shared is not None else {}
     ranges = ranges or _cfg_theorem_ranges(cfg)
-    stabs, _ = _theorem_sweep(shared, ranges)
-    for (q, n_plus_1, m, ctx), entries in stabs.items():
-        group = enumerate_pgl(n_plus_1, ctx)
-        radicals = {}
-        for x, stab in entries:
-            fl = stratum_flag(x)
-            if fl not in radicals:
-                radicals[fl] = unipotent_radical_k(fl, ctx, group)
-            if p_core(stab) != radicals[fl]:
-                return False, f"normal core mismatch at q={q} n+1={n_plus_1} m={m}"
+    for q, n_plus_1, m, x, stab, radical in _sweep_with_radicals(shared, ranges):
+        if p_core(stab) != radical:
+            return False, f"normal core mismatch at q={q} n+1={n_plus_1} m={m}"
     return True, ""
 
 
-def check_action_separation(cfg, shared=None, ranges=None):
-    shared = shared if shared is not None else {}
-    ranges = ranges or _cfg_theorem_ranges(cfg)
-    stabs, _ = _theorem_sweep(shared, ranges)
+def check_action_separation(cfg, shared, ranges=None):
+    stabs, _ = _theorem_sweep(shared, ranges or _cfg_theorem_ranges(cfg))
     for (q, n_plus_1, m, ctx), entries in stabs.items():
         by_kind = {}
         for x, stab in entries:
@@ -526,24 +544,15 @@ def check_atlas_partitions(cfg):
             atlas_q = build_atlas("Q", n_plus_1, ctx, ms, jobs=cfg.jobs)
             atlas_b = build_atlas("B", n_plus_1, ctx, ms, jobs=cfg.jobs)
             for m in ms:
-                want = (q ** (m * n_plus_1) - 1) // (q**m - 1)
+                want = _p_total(q, n_plus_1, m)
                 if atlas_p.total(m) != want:
                     return False, f"P total {atlas_p.total(m)} != {want}"
-                q_want = sum(
-                    len(enumerate_omega(s.dim, ctx, m))
-                    for s in all_subspaces(n_plus_1, ctx, include_zero=False)
-                )
+                q_want = _q_total(ctx, n_plus_1, m)
                 if atlas_q.total(m) != q_want:
                     return False, f"Q total {atlas_q.total(m)} != {q_want}"
-                b_want = 0
-                for fl in enumerate_flags(n_plus_1, ctx):
-                    chain = fl.chain(ctx)
-                    prod = 1
-                    for t in range(len(chain) - 1):
-                        prod *= len(
-                            enumerate_omega(chain[t].dim - chain[t + 1].dim, ctx, m)
-                        )
-                    b_want += prod
+                b_want = sum(
+                    _b_flag_count(fl, ctx, m) for fl in enumerate_flags(n_plus_1, ctx)
+                )
                 if atlas_b.total(m) != b_want:
                     return False, f"B total {atlas_b.total(m)} != {b_want}"
     return True, ""
@@ -653,6 +662,16 @@ _SHARED_CHECKS = {
 }
 
 
+def _timed(name, run):
+    "The CheckResult of run(), which returns (ok, detail), with its seconds."
+    t0 = time.time()
+    try:
+        ok, detail = run()
+    except Exception as exc:  # a crash is a failing check, not a crash
+        ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+    return CheckResult(name, ok, time.time() - t0, detail)
+
+
 def verify_all(cfg=None):
     "Run the configured invariant suites; returns a list of CheckResult."
     cfg = cfg or VerifyConfig()
@@ -663,15 +682,8 @@ def verify_all(cfg=None):
         suite = name.split(".")[0]
         if wanted is not None and suite not in wanted and name not in wanted:
             continue
-        t0 = time.time()
-        try:
-            if name in _SHARED_CHECKS:
-                ok, detail = fn(cfg, shared)
-            else:
-                ok, detail = fn(cfg)
-        except Exception as exc:  # a crash is a failing check, not a crash
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(name, ok, time.time() - t0, detail))
+        args = (cfg, shared) if name in _SHARED_CHECKS else (cfg,)
+        results.append(_timed(name, lambda: fn(*args)))
     return results
 
 
@@ -691,41 +703,27 @@ def criterion_1(shared):
         ctx = _ctx_for(q, n_plus_1, max(ms))
         for m in ms:
             p_pts = p_enumerate(ctx, n_plus_1, m)
-            p_want = (q ** (m * n_plus_1) - 1) // (q**m - 1)
+            p_want = _p_total(q, n_plus_1, m)
             if len(p_pts) != p_want or len(set(p_pts)) != len(p_pts):
                 return False, f"P partition failed at q={q} n+1={n_plus_1} m={m}"
-            per_p = {}
-            for x in p_pts:
-                sub = p_classify(x)
-                per_p[sub] = per_p.get(sub, 0) + 1
+            per_p = Counter(p_classify(x) for x in p_pts)
             # every stratum holds exactly the dense points of its quotient
             for sub in all_subspaces(n_plus_1, ctx, include_full=False):
                 want = len(enumerate_omega(n_plus_1 - sub.dim, ctx, m))
                 if per_p.get(sub, 0) != want:
                     return False, f"P stratum count failed at q={q} n+1={n_plus_1} m={m}"
             q_pts = q_enumerate(ctx, n_plus_1, m)
-            per = {}
-            for x in q_pts:
-                sub = q_classify(x)
-                per[sub] = per.get(sub, 0) + 1
+            per = Counter(q_classify(x) for x in q_pts)
             for sub in all_subspaces(n_plus_1, ctx, include_zero=False):
                 if per.get(sub, 0) != len(enumerate_omega(sub.dim, ctx, m)):
                     return False, f"Q stratum count failed at q={q} n+1={n_plus_1} m={m}"
             if len(set(q_pts)) != len(q_pts):
                 return False, "Q enumeration repeated a point"
             b_pts = b_enumerate(ctx, n_plus_1, m)
-            per_b = {}
-            for x in b_pts:
-                fl = b_classify(x)
-                per_b[fl] = per_b.get(fl, 0) + 1
+            per_b = Counter(b_classify(x) for x in b_pts)
             b_want = 0
             for fl in enumerate_flags(n_plus_1, ctx):
-                chain = fl.chain(ctx)
-                prod = 1
-                for t in range(len(chain) - 1):
-                    prod *= len(
-                        enumerate_omega(chain[t].dim - chain[t + 1].dim, ctx, m)
-                    )
+                prod = _b_flag_count(fl, ctx, m)
                 b_want += prod
                 if per_b.get(fl, 0) != prod:
                     return False, f"B stratum count failed at q={q} n+1={n_plus_1} m={m}"
@@ -750,10 +748,7 @@ def criterion_2(shared):
         built = q_enumerate(ctx, 2, m)
         if set(brute) != set(built):
             return False, f"brute force and construction differ at m={m}"
-        want = sum(
-            len(enumerate_omega(s.dim, ctx, m))
-            for s in all_subspaces(2, ctx, include_zero=False)
-        )
+        want = _q_total(ctx, 2, m)
         if not (len(brute) == len(built) == want):
             return False, f"count {len(brute)} != partition identity {want} at m={m}"
         counts[m] = len(brute)
@@ -762,31 +757,16 @@ def criterion_2(shared):
     return True, "counts 3 (m=1) and 5 (m=2), set-equal to the construction"
 
 
+_CRITERION_3_CONFIG = VerifyConfig(
+    qs=(2,), max_n_plus_1=3, max_m=2, seed=0, perturbations=1000
+)
+
+
 def criterion_3(shared):
     "Incidence equivalence: minors vs proportionality, bit for bit."
-    rng = random.Random(0)
-    checked = 0
-    for n_plus_1 in (2, 3):
-        ctx = _ctx_for(2, n_plus_1, 2)
-        for m in (1, 2):
-            pts = b_enumerate(ctx, n_plus_1, m)
-            subs = all_subspaces(n_plus_1, ctx, include_zero=False)
-            for x in pts:
-                a, _ = incidence_minors_ok(x.family, ctx)
-                b, _ = restriction_proportional_ok(x.family, ctx)
-                if not (a and b):
-                    return False, "a constructed family failed a test"
-                checked += 1
-            for _ in range(1000):
-                x = rng.choice(pts)
-                W = rng.choice(subs)
-                fam = dict(x.family)
-                fam[W] = rng.choice(enumerate_functionals(W.dim, ctx, m))
-                a, wa = incidence_minors_ok(fam, ctx)
-                b, wb = restriction_proportional_ok(fam, ctx)
-                if a != b:
-                    return False, f"tests disagree at witness {wa or wb}"
-                checked += 1
+    ok, detail, checked = _b_two_tests(_CRITERION_3_CONFIG)
+    if not ok:
+        return False, detail
     return True, f"{checked} families checked, tests always agree"
 
 
@@ -851,7 +831,6 @@ def criterion_8(shared):
     "Map compatibilities on dense points, with equivariance."
     for q, n_plus_1, ms in _THEOREM_RANGES:
         ctx = _ctx_for(q, n_plus_1, max(ms))
-        group = enumerate_pgl(n_plus_1, ctx)
         for m in ms:
             for coords in enumerate_omega(n_plus_1, ctx, m):
                 l = PPoint(ctx, coords)
@@ -860,10 +839,7 @@ def criterion_8(shared):
                     return False, "pi does not invert the dense embedding"
                 if rho_map(xb) != omega_embed_q(l):
                     return False, "rho does not match 1/l on dense points"
-                for g in group:
-                    if act_Q(omega_embed_q(l), g) != omega_embed_q(act_P(l, g)):
-                        return False, "equivariance of l -> 1/l failed"
-    return True, ""
+    return check_action_omega_equivariance(None)
 
 
 def criterion_9(shared):
@@ -888,12 +864,4 @@ ACCEPTANCE = (
 def run_acceptance():
     "Run the acceptance criteria; returns a list of CheckResult."
     shared = {}
-    results = []
-    for name, fn in ACCEPTANCE:
-        t0 = time.time()
-        try:
-            ok, detail = fn(shared)
-        except Exception as exc:
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(f"criterion {name}", ok, time.time() - t0, detail))
-    return results
+    return [_timed(f"criterion {name}", lambda: fn(shared)) for name, fn in ACCEPTANCE]

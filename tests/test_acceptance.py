@@ -11,7 +11,7 @@ criterion 5s.  Details sit in the test docstrings and the check output.
 
 import pytest
 
-from drinfeld.verify import ACCEPTANCE, CheckResult
+from drinfeld.verify import run_acceptance
 
 
 _RESULTS = {}
@@ -20,19 +20,10 @@ _RESULTS = {}
 def _run(name):
     # criteria share the stabilizer sweep; run all once, in order
     if not _RESULTS:
-        shared = {}
-        import time
-
-        for label, fn in ACCEPTANCE:
-            t0 = time.time()
-            try:
-                ok, detail = fn(shared)
-            except Exception as exc:  # surfaced as a failing criterion
-                ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-            _RESULTS[label] = CheckResult(label, ok, time.time() - t0, detail)
-    result = _RESULTS[name]
+        _RESULTS.update((r.name, r) for r in run_acceptance())
+    result = _RESULTS[f"criterion {name}"]
     mark = "PASS" if result.ok else "FAIL"
-    line = f"criterion {result.name}: {mark} ({result.seconds:.2f}s)"
+    line = f"{result.name}: {mark} ({result.seconds:.2f}s)"
     if result.detail:
         line += f" -- {result.detail}"
     print(line)

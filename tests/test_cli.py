@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from drinfeld import PPoint, context_for, omega_embed_b
+from drinfeld import PPoint, context_for, omega_embed_b, q_enumerate
 from drinfeld.points import point_to_obj
 
 
@@ -103,6 +103,50 @@ def test_point_json_not_an_object_is_an_error(dense_point_json):
         _assert_one_error_line(run_cli([cmd], stdin=body))
 
 
+def _q_point_obj():
+    ctx = context_for(2, 1, 2, [1])
+    x = q_enumerate(ctx, 2, 1)[0]
+    return point_to_obj(x)
+
+
+def _classify_error(obj):
+    _assert_one_error_line(run_cli(["classify", "--format", "json"],
+                                   stdin=json.dumps(obj).encode()))
+
+
+def test_point_json_coords_not_an_array_is_an_error(dense_point_json):
+    obj = json.loads(dense_point_json)
+    obj["data"]["coords"] = 5
+    _classify_error(obj)
+
+
+def test_point_json_table_not_an_object_is_an_error():
+    obj = _q_point_obj()
+    obj["data"]["table"] = [1, 2]
+    _classify_error(obj)
+
+
+def test_point_json_characteristic_not_an_integer_is_an_error(dense_point_json):
+    obj = json.loads(dense_point_json)
+    obj["field"]["p"] = "two"
+    _classify_error(obj)
+
+
+def test_point_json_vector_index_out_of_range_is_an_error():
+    obj = _q_point_obj()
+    table = obj["data"]["table"]
+    table["2,0"] = table.pop("1,0")
+    _classify_error(obj)
+
+
+def test_point_json_negative_vector_index_is_an_error():
+    # indexing with -1 would alias "-1,0" to "1,0", a plausible valid point
+    obj = _q_point_obj()
+    table = obj["data"]["table"]
+    table["-1,0"] = table.pop("1,0")
+    _classify_error(obj)
+
+
 def test_stabilizer_output(dense_point_json):
     proc = run_cli(["stabilizer", "--format", "json"], stdin=dense_point_json)
     assert proc.returncode == 0
@@ -165,6 +209,29 @@ def test_verify_passes_at_dim_two():
                     "--perturbations", "50"])
     assert proc.returncode == 0, proc.stdout.decode()
     assert b"[FAIL]" not in proc.stdout
+
+
+def test_verify_rejects_out_of_range_arguments():
+    for args in (["--max-n", "0"], ["--max-m", "0"], ["--perturbations", "-1"],
+                 ["--jobs", "0"]):
+        proc = run_cli(["verify", "--suites", "field"] + args)
+        assert proc.returncode == 2 and not proc.stdout
+        assert proc.stderr.decode().startswith("configuration error:")
+
+
+def test_options_a_command_does_not_read_are_rejected():
+    for argv in (["classify", "--p", "3"], ["stabilizer", "--seed", "1"],
+                 ["count", "--variety", "P", "--n", "1", "--seed", "1"],
+                 ["strata", "--variety", "P", "--n", "1", "--seed", "1"],
+                 ["verify", "--e", "2"]):
+        proc = run_cli(argv, stdin=b"")
+        assert proc.returncode == 2 and not proc.stdout, argv
+
+
+def test_verify_option_prefix_is_not_an_abbreviation():
+    # with abbreviations allowed, --p would be read as --perturbations
+    proc = run_cli(["verify", "--suites", "field", "--max-n", "1", "--p", "3"])
+    assert proc.returncode == 2 and b"--p" in proc.stderr and not proc.stdout
 
 
 def test_verify_unknown_suite_is_config_error():

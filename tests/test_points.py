@@ -381,6 +381,7 @@ def test_rho_lands_on_smallest_member(ctx64):
 def test_point_json_roundtrips(ctx64, omega4):
     l = PPoint(ctx64, (ctx64.one, omega4))
     pts = [l, omega_embed_q(l), omega_embed_b(l), b_enumerate(ctx64, 3, 1)[0]]
+    pts += q_enumerate(ctx64, 3, 1)  # table keys with every index of k
     for x in pts:
         obj = json.loads(json.dumps(point_to_obj(x), sort_keys=True))
         assert point_from_obj(obj) == x
