@@ -214,26 +214,17 @@ def fixes(x, g):
         lam = table[g.apply(v0)]
         return all(table[g.apply(v)] == lam * val for v, val in table.items())
     if isinstance(x, BPoint):
-        for W in _descending_subspaces(x.n_plus_1, x.ctx):
-            gW = W if W.dim == x.n_plus_1 else g.apply_subspace(W)
-            coords = tuple(x.value(gW, g.apply(r)) for r in W.rows)
-            if normalize_functional(coords) != x.family[W]:
-                return False
+        # Large subspaces carry the most constraints, so most group elements
+        # fail on the first few.  Lines are skipped: a normalized functional
+        # on a line is (1,), whatever the point and g.
+        for d in range(x.n_plus_1, 1, -1):
+            for W in enumerate_subspaces(x.n_plus_1, d, x.ctx):
+                gW = W if d == x.n_plus_1 else g.apply_subspace(W)
+                coords = tuple(x.value(gW, g.apply(r)) for r in W.rows)
+                if normalize_functional(coords) != x.family[W]:
+                    return False
         return True
     raise TypeError(f"not a point: {x!r}")
-
-
-@lru_cache(maxsize=None)
-def _descending_subspaces(n_plus_1, ctx):
-    """The subspaces of dimension >= 2, whole space first.
-
-    Large subspaces carry the most constraints, so most group elements fail
-    on the first few.  Lines are left out: a normalized functional on a line
-    is (1,), whatever the point and g.
-    """
-    return tuple(
-        W for d in range(n_plus_1, 1, -1) for W in enumerate_subspaces(n_plus_1, d, ctx)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -365,31 +356,26 @@ class _QuotientBlock:
 
 def _predicted_blocks(x):
     """The invariance constraints and quotient blocks of the block-triangular
-    stabilizer description: (subspaces g must preserve, quotient blocks)."""
+    stabilizer description: the members of the stratum flag, and blocks on
+    its chain (P the top one, Q the bottom one, B every one)."""
     ctx = x.ctx
+    flag = stratum_flag(x)
+    chain = flag.chain(ctx)
     if isinstance(x, PPoint):
-        sub = p_classify(x)
-        big = Subspace.full(x.n_plus_1, ctx)
-        invariant = [sub] if sub.dim else []
-        return invariant, [_QuotientBlock(big, sub, x.coords, ctx)]
-    if isinstance(x, QPoint):
-        sub = q_classify(x)
+        blocks = [_QuotientBlock(chain[0], chain[1], x.coords, ctx)]
+    elif isinstance(x, QPoint):
+        sub = chain[-2]
         # the covector on the support span, recovered from 1/r on its basis
         inv_coords = normalize_functional(
             tuple(x.table[r].inverse() for r in sub.rows)
         )
-        zero = Subspace.zero(x.n_plus_1)
-        invariant = [sub] if sub.dim < x.n_plus_1 else []
-        return invariant, [_QuotientBlock(sub, zero, inv_coords, ctx)]
-    if isinstance(x, BPoint):
-        flag = b_classify(x)
-        chain = flag.chain(ctx)
+        blocks = [_QuotientBlock(sub, chain[-1], inv_coords, ctx)]
+    else:
         blocks = [
             _QuotientBlock(chain[t], chain[t + 1], x.family[chain[t]], ctx)
             for t in range(len(chain) - 1)
         ]
-        return list(flag.members), blocks
-    raise TypeError(f"not a point: {x!r}")
+    return flag.members, blocks
 
 
 def stabilizer_predicted(x, group=None):

@@ -16,7 +16,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 from .field import FieldCtx
-from .linalg import all_subspaces, enumerate_flags, flag_leq
+from .linalg import _subspace_order, all_subspaces, enumerate_flags, flag_leq
 from .points import (
     b_classify,
     b_enumerate_flag,
@@ -85,22 +85,14 @@ def _dim_index(variety, node, n_plus_1):
     return n_plus_1 - 1 - len(node.members)
 
 
-def _closure_pairs(variety, nodes):
+def _closure_pairs(variety, nodes, n_plus_1, ctx):
     "Irreflexive pairs (a, b) with stratum b inside the closure of stratum a."
-    out = []
-    for a in nodes:
-        for b in nodes:
-            if a == b:
-                continue
-            if variety == "P":
-                inside = b.contains(a)
-            elif variety == "Q":
-                inside = a.contains(b)
-            else:
-                inside = flag_leq(a, b)
-            if inside:
-                out.append((a, b))
-    return out
+    if variety == "B":
+        return [(a, b) for a in nodes for b in nodes if a != b and flag_leq(a, b)]
+    above = _subspace_order(n_plus_1, ctx)[1]
+    if variety == "P":
+        return [(a, b) for a in nodes for b in above[a] if b.dim < n_plus_1]
+    return [(a, b) for b in nodes for a in above[b]]
 
 
 def _estimated_points(variety, n_plus_1, q, m):
@@ -207,20 +199,28 @@ def _cache_store(cache_dir, variety, ctx, n_plus_1, m, counts):
     os.makedirs(cache_dir, exist_ok=True)
     obj = {**_cache_header(variety, ctx, n_plus_1, m), "counts": counts}
     path = _cache_path(cache_dir, variety, ctx, n_plus_1, m)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    # written beside the target and renamed into place, so a reader sees
+    # either the old file or the whole new one, never a partial write
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 # --- building and exporting -------------------------------------------------
 
 
-def build_atlas(variety, n_plus_1, ctx, m_list, jobs=1, cache_dir=None, use_cache=True):
+def build_atlas(variety, n_plus_1, ctx, m_list, jobs=1, cache_dir=None):
     """Assemble the atlas: stratum nodes, closure pairs, per-m counts.
 
     The cache (one JSON file per variety/q/n/m under cache_dir) is an
-    optimization only; counts are recomputed whenever it is absent, stale,
-    or disabled.
+    optimization only; counts are recomputed whenever it is absent or
+    stale, and cache_dir=None neither reads nor writes it.
     """
     if variety not in VARIETIES:
         raise ValueError(f"variety must be one of {VARIETIES}")
@@ -231,16 +231,17 @@ def build_atlas(variety, n_plus_1, ctx, m_list, jobs=1, cache_dir=None, use_cach
     ]
     key_of = {s: k for s, (k, _) in zip(node_objs, nodes)}
     closure = sorted(
-        (key_of[a], key_of[b]) for a, b in _closure_pairs(variety, node_objs)
+        (key_of[a], key_of[b])
+        for a, b in _closure_pairs(variety, node_objs, n_plus_1, ctx)
     )
     counts = {}
     for m in m_list:
         cached = None
-        if use_cache and cache_dir:
+        if cache_dir:
             cached = _cache_load(cache_dir, variety, ctx, n_plus_1, m)
         if cached is None:
             raw = count_stratum_points(variety, n_plus_1, ctx, m, jobs=jobs)
-            if use_cache and cache_dir:
+            if cache_dir:
                 _cache_store(cache_dir, variety, ctx, n_plus_1, m, raw)
         else:
             raw = cached

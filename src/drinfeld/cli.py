@@ -157,7 +157,6 @@ def _build(args):
         m_list,
         jobs=args.jobs,
         cache_dir=cache_dir,
-        use_cache=not args.no_cache,
     )
 
 

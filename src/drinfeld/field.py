@@ -80,19 +80,28 @@ def smallest_irreducible(p, degree):
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
+# The largest ambient field is GF(p^D) with p^D <= 2^_MAX_FIELD_BITS.  Above
+# it, primality and irreducibility by trial division stop being cheap.
+_MAX_FIELD_BITS = 24
+
+
 class FieldCtx:
     """The ambient field GF(p^D) together with k = GF(p^e) sitting inside it.
 
-    D must be a multiple of e.  The modulus defaults to the lexicographically
-    smallest monic irreducible of degree D; a caller-supplied modulus is
-    verified irreducible.
+    D must be a multiple of e and p^D at most 2^24.  The modulus
+    defaults to the lexicographically smallest monic irreducible of degree
+    D; a caller-supplied modulus is verified irreducible.
     """
 
     def __init__(self, p, e, D, modulus=None):
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
         if e < 1 or D < 1 or D % e != 0:
             raise ValueError(f"need 1 <= e | D, got e={e}, D={D}")
+        # D first: p >= 2 for any field, so D > _MAX_FIELD_BITS is already
+        # too large, and p**D is formed only for D <= _MAX_FIELD_BITS
+        if D > _MAX_FIELD_BITS or p**D > 2**_MAX_FIELD_BITS:
+            raise ValueError(f"field size p^D must be at most 2^{_MAX_FIELD_BITS}")
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
         if modulus is None:
             modulus = smallest_irreducible(p, D)
         else:

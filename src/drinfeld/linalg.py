@@ -309,59 +309,68 @@ def gaussian_binomial(n, d, q):
     return num // den
 
 
-def enumerate_subspaces(n_plus_1, d, ctx):
-    """All d-dimensional k-subspaces of k^(n+1), canonical and sorted.
+@lru_cache(maxsize=None)
+def _subspace_order(n_plus_1, ctx):
+    """(by_dim, above): the d-dimensional subspaces of k^(n+1), canonical and
+    sorted, for each d; and each subspace's strict superspaces, in that order.
 
     Echelon parametrisation: choose pivot columns, then fill every entry
     that sits right of its row's pivot and is not itself a pivot column.
     """
+    k_els = ctx.k_elements
+    by_dim = []
+    for d in range(n_plus_1 + 1):
+        subs = []
+        for pivs in combinations(range(n_plus_1), d):
+            free = []
+            for i in range(d):
+                for col in range(pivs[i] + 1, n_plus_1):
+                    if col not in pivs:
+                        free.append((i, col))
+            for values in product(k_els, repeat=len(free)):
+                rows = [[ctx.zero] * n_plus_1 for _ in range(d)]
+                for i, pcol in enumerate(pivs):
+                    rows[i][pcol] = ctx.one
+                for (i, col), val in zip(free, values):
+                    rows[i][col] = val
+                subs.append(Subspace(n_plus_1, tuple(tuple(r) for r in rows)))
+        subs.sort(key=Subspace.sort_key)
+        by_dim.append(tuple(subs))
+    # a < b iff every echelon row of a is a vector of b; the vector sets
+    # live only while the order is built
+    vectors = {b: frozenset(b.vectors(ctx)) for subs in by_dim for b in subs}
+    above = {
+        a: tuple(
+            b for b in vectors if b.dim > a.dim and all(r in vectors[b] for r in a.rows)
+        )
+        for a in vectors
+    }
+    return tuple(by_dim), above
+
+
+def enumerate_subspaces(n_plus_1, d, ctx):
+    "All d-dimensional k-subspaces of k^(n+1), canonical and sorted."
     if d < 0 or d > n_plus_1:
         raise ValueError(f"dimension {d} out of range")
-    if d == 0:
-        return [Subspace.zero(n_plus_1)]
-    k_els = ctx.k_elements
-    out = []
-    for pivs in combinations(range(n_plus_1), d):
-        free = []
-        for i in range(d):
-            for col in range(pivs[i] + 1, n_plus_1):
-                if col not in pivs:
-                    free.append((i, col))
-        for values in product(k_els, repeat=len(free)):
-            rows = [[ctx.zero] * n_plus_1 for _ in range(d)]
-            for i, pcol in enumerate(pivs):
-                rows[i][pcol] = ctx.one
-            for (i, col), val in zip(free, values):
-                rows[i][col] = val
-            out.append(Subspace(n_plus_1, tuple(tuple(r) for r in rows)))
-    out.sort(key=Subspace.sort_key)
-    return out
+    return list(_subspace_order(n_plus_1, ctx)[0][d])
 
 
 def all_subspaces(n_plus_1, ctx, include_zero=True, include_full=True):
     lo = 0 if include_zero else 1
     hi = n_plus_1 if include_full else n_plus_1 - 1
-    out = []
-    for d in range(lo, hi + 1):
-        out.extend(enumerate_subspaces(n_plus_1, d, ctx))
-    return out
+    by_dim = _subspace_order(n_plus_1, ctx)[0]
+    return [W for d in range(lo, hi + 1) for W in by_dim[d]]
 
 
 def enumerate_flags(n_plus_1, ctx):
     """All flags of k^(n+1): strictly increasing chains of proper nonzero
     subspaces, the empty chain included.  Deterministic order."""
-    proper = all_subspaces(n_plus_1, ctx, include_zero=False, include_full=False)
+    by_dim, above = _subspace_order(n_plus_1, ctx)
     chains = [()]
-    grow = [()]
+    grow = [(s,) for subs in by_dim[1:n_plus_1] for s in subs]
     while grow:
-        nxt = []
-        for chain in grow:
-            top = chain[-1] if chain else None
-            for s in proper:
-                if top is None or (s.dim > top.dim and s.contains(top)):
-                    nxt.append(chain + (s,))
-        chains.extend(nxt)
-        grow = nxt
+        chains.extend(grow)
+        grow = [c + (s,) for c in grow for s in above[c[-1]] if s.dim < n_plus_1]
     flags = [Flag(n_plus_1, c) for c in chains]
     flags.sort(key=Flag.sort_key)
     return flags

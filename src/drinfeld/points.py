@@ -21,11 +21,13 @@ from .errors import DefectSignal, InvariantViolation
 from .linalg import (
     Flag,
     Subspace,
+    _subspace_order,
     all_subspaces,
     apply_functional,
     complement,
     coords_to_ambient,
     enumerate_flags,
+    gaussian_binomial,
     normalize_functional,
     functional_ratio,
     rational_kernel,
@@ -96,10 +98,10 @@ class BPoint:
 
     def __init__(self, ctx, n_plus_1, family, validate=True):
         family = {W: normalize_functional(c) for W, c in family.items()}
-        expected = len(all_subspaces(n_plus_1, ctx, include_zero=False))
-        if len(family) != expected:
+        if not _covers(len(family), n_plus_1, _nonzero_subspace_count, ctx.q):
             raise ValueError(
-                f"family must cover all {expected} nonzero subspaces, got {len(family)}"
+                f"family must cover all nonzero subspaces of k^{n_plus_1},"
+                f" got {len(family)}"
             )
         for W, c in family.items():
             if len(c) != W.dim:
@@ -128,6 +130,26 @@ class BPoint:
 
     def __repr__(self):
         return f"BPoint(n+1={self.n_plus_1}, {len(self.family)} functionals)"
+
+
+def _covers(entries, n_plus_1, count, q):
+    """Whether entries == count(n_plus_1, q); ValueError if n_plus_1 < 1.
+
+    Both counts in use, the nonzero vectors and the nonzero subspaces of
+    k^(n+1), are at least 2^(n+1) - 1, so an n+1 beyond the bit length of
+    entries is refused before anything of that size is formed.
+    """
+    if n_plus_1 < 1:
+        raise ValueError(f"n_plus_1 must be at least 1, got {n_plus_1}")
+    return n_plus_1 <= entries.bit_length() and entries == count(n_plus_1, q)
+
+
+def _nonzero_vector_count(n_plus_1, q):
+    return q**n_plus_1 - 1
+
+
+def _nonzero_subspace_count(n_plus_1, q):
+    return sum(gaussian_binomial(n_plus_1, d, q) for d in range(1, n_plus_1 + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +261,8 @@ def q_validate(table, ctx, n_plus_1):
     Returns a QValidation; on failure the code names the violated axiom
     ('non-generating', 'scaling', 'addition') with witness vectors.
     """
+    if not _covers(len(table), n_plus_1, _nonzero_vector_count, ctx.q):
+        raise ValueError("table must be defined on exactly the nonzero vectors")
     vectors = canonical_vectors(n_plus_1, ctx)
     if set(table) != set(vectors):
         raise ValueError("table must be defined on exactly the nonzero vectors")
@@ -382,6 +406,14 @@ def _family_values(family, ctx):
     return values
 
 
+def _nested_pairs(family, ctx):
+    """Every (W', W) with W' < W among the family's subspaces, which are all
+    the nonzero subspaces of V: W' in canonical order, then W."""
+    n_plus_1 = next(iter(family)).n_plus_1
+    by_dim, above = _subspace_order(n_plus_1, ctx)
+    return ((small, big) for subs in by_dim[1:] for small in subs for big in above[small])
+
+
 def incidence_minors_ok(family, ctx):
     """Test (a): all 2x2 minors across nested pairs of subspaces vanish.
 
@@ -389,10 +421,7 @@ def incidence_minors_ok(family, ctx):
     violated minor.
     """
     values = _family_values(family, ctx)
-    subs = sorted(family, key=Subspace.sort_key)
-    for small, big in combinations(subs, 2):
-        if not big.contains(small):
-            continue
+    for small, big in _nested_pairs(family, ctx):
         vals_b, vals_s = values[big], values[small]
         small_vecs = [v for v in vals_s if any(v)]
         for v, w in combinations(small_vecs, 2):
@@ -404,10 +433,7 @@ def incidence_minors_ok(family, ctx):
 def restriction_proportional_ok(family, ctx):
     """Test (b): the restriction of l_W to each W' < W is c * l_W' for some
     scalar c, zero allowed.  Returns (ok, witness)."""
-    subs = sorted(family, key=Subspace.sort_key)
-    for small, big in combinations(subs, 2):
-        if not big.contains(small):
-            continue
+    for small, big in _nested_pairs(family, ctx):
         restriction = tuple(
             apply_functional(family[big], big.coords_of(r)) for r in small.rows
         )
@@ -467,19 +493,17 @@ def b_classify(x):
     """
     chain = _kernel_chain(x)
     flag = Flag(x.n_plus_1, tuple(reversed(chain)))
-    divisors = set()
-    proper = [W for W in x.family if W.dim < x.n_plus_1]
-    for cand in proper:
-        member = True
-        for W in x.family:
-            if W.dim > cand.dim and W.contains(cand) and W != cand:
-                if any(
-                    apply_functional(x.family[W], W.coords_of(r)) for r in cand.rows
-                ):
-                    member = False
-                    break
-        if member:
-            divisors.add(cand)
+    above = _subspace_order(x.n_plus_1, x.ctx)[1]
+    divisors = {
+        cand
+        for cand in x.family
+        if cand.dim < x.n_plus_1
+        and not any(
+            apply_functional(x.family[W], W.coords_of(r))
+            for W in above[cand]
+            for r in cand.rows
+        )
+    }
     if divisors != set(chain):
         raise InvariantViolation(
             "divisor membership set does not match the kernel chain"
@@ -515,9 +539,10 @@ def b_from_flag_data(flag, parts, ctx):
             tuple(apply_functional(part, row) for row in by_coordinate)
         )
     family = {}
+    above = _subspace_order(n_plus_1, ctx)[1]
     for W in all_subspaces(n_plus_1, ctx, include_zero=False):
         t = 0
-        while chain[t + 1].contains(W):
+        while chain[t + 1] == W or chain[t + 1] in above[W]:
             t += 1
         big = chain[t]
         if W == big:

@@ -120,10 +120,12 @@ def test_cache_ignores_stale_schema(tmp_path, ctx64):
     assert atlas.total(1) == 3  # recomputed, not the poisoned value
 
 
-def test_no_cache_bypasses_files(tmp_path, ctx64):
-    cache = str(tmp_path / "cache")
-    build_atlas("Q", 2, ctx64, [1], cache_dir=cache, use_cache=False)
-    assert not (tmp_path / "cache").exists()
+def test_no_cache_bypasses_files(tmp_path, ctx64, monkeypatch):
+    # cache_dir=None writes no file, not even into the working directory
+    monkeypatch.chdir(tmp_path)
+    atlas = build_atlas("Q", 2, ctx64, [1], cache_dir=None)
+    assert atlas.total(1) == 3
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_q_totals_match_p_totals(ctx64, ctx729):

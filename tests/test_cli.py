@@ -6,10 +6,10 @@ import sys
 import pytest
 
 from drinfeld import PPoint, context_for, omega_embed_b, q_enumerate
-from drinfeld.points import point_to_obj
+from drinfeld.points import field_to_obj, point_to_obj
 
 
-def run_cli(args, stdin=None):
+def run_cli(args, stdin=None, timeout=None):
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -18,6 +18,7 @@ def run_cli(args, stdin=None):
         input=stdin,
         capture_output=True,
         env=env,
+        timeout=timeout,
     )
     return proc
 
@@ -147,6 +148,65 @@ def test_point_json_negative_vector_index_is_an_error():
     _classify_error(obj)
 
 
+def _fast_error(obj):
+    """classify and stabilizer each exit 2 with one error line within
+    seconds; returns the two error lines."""
+    lines = []
+    for cmd in ("classify", "stabilizer"):
+        proc = run_cli([cmd], stdin=json.dumps(obj).encode(), timeout=30)
+        _assert_one_error_line(proc)
+        lines.append(proc.stderr.decode())
+    return lines
+
+
+def _b_point_obj(n_plus_1, family):
+    ctx = context_for(2, 1, 2, [1])
+    data = {"n_plus_1": n_plus_1, "family": family}
+    return {"kind": "B", "field": field_to_obj(ctx), "data": data}
+
+
+def test_point_json_zero_n_plus_1_is_an_error():
+    # classify used to call this family valid, with stratum "()"
+    _fast_error(_b_point_obj(0, {}))
+
+
+def test_point_json_negative_n_plus_1_is_an_error():
+    _fast_error(_b_point_obj(-2, {}))
+
+
+def test_q_point_json_negative_n_plus_1_is_an_error():
+    obj = _q_point_obj()
+    obj["data"]["n_plus_1"] = -2
+    # not an internal message such as "repeat argument cannot be negative"
+    assert all("n_plus_1" in line for line in _fast_error(obj))
+
+
+def test_b_point_json_too_few_subspaces_for_n_plus_1_is_an_error():
+    # one functional cannot cover the subspaces of k^9; they are not built
+    _fast_error(_b_point_obj(9, {",".join(["1"] + ["0"] * 8): [[1, 0]]}))
+
+
+def test_q_point_json_too_few_vectors_for_n_plus_1_is_an_error():
+    # one entry cannot cover the 2^30 - 1 nonzero vectors; they are not built
+    obj = _q_point_obj()
+    obj["data"] = {"n_plus_1": 30, "table": {",".join(["1"] + ["0"] * 29): [1, 0]}}
+    _fast_error(obj)
+
+
+def test_point_json_field_above_the_size_bound_is_an_error(dense_point_json):
+    # p = 2^61 - 1 is prime; primality by trial division would not finish
+    obj = json.loads(dense_point_json)
+    obj["field"] = {"p": 2**61 - 1, "e": 1, "D": 1, "modulus": [0, 1]}
+    _fast_error(obj)
+
+
+def test_count_with_a_field_above_the_size_bound_is_an_error():
+    # n+1 = 5 asks for an ambient field of degree lcm(1..5) = 60 over GF(2)
+    _assert_one_error_line(run_cli(
+        ["count", "--variety", "P", "--n", "4", "--m", "1", "--no-cache"], timeout=30
+    ))
+
+
 def test_stabilizer_output(dense_point_json):
     proc = run_cli(["stabilizer", "--format", "json"], stdin=dense_point_json)
     assert proc.returncode == 0
@@ -202,6 +262,14 @@ def test_strata_cache_dir(tmp_path):
     assert os.path.isdir(cache) and os.listdir(cache) == ["P_q2_n1_m1.json"]
     second = run_cli(args)
     assert second.stdout == first.stdout
+
+
+def test_strata_no_cache_leaves_cache_dir_absent(tmp_path):
+    cache = str(tmp_path / "atlas-cache")
+    proc = run_cli(["strata", "--variety", "P", "--n", "1", "--m", "1",
+                    "--cache-dir", cache, "--no-cache"])
+    assert proc.returncode == 0
+    assert not os.path.exists(cache)
 
 
 def test_verify_passes_at_dim_two():

@@ -8,6 +8,7 @@ from drinfeld import (
     Subspace,
     all_subspaces,
     complement,
+    context_for,
     enumerate_flags,
     enumerate_subspaces,
     flag_leq,
@@ -16,7 +17,7 @@ from drinfeld import (
     rational_kernel,
     rref,
 )
-from drinfeld.linalg import apply_functional, normalize_functional
+from drinfeld.linalg import _subspace_order, apply_functional, normalize_functional
 
 
 def vecs(ctx, *ints):
@@ -164,6 +165,35 @@ def test_flag_counts(ctx64, ctx729):
     for f in flags3:
         by_len[len(f)] = by_len.get(len(f), 0) + 1
     assert by_len == {0: 1, 1: 14, 2: 21}
+
+
+def test_subspace_order_against_direct_containment(ctx64, ctx729):
+    """Slow oracle for the cached containment order: superspaces and flags
+    recomputed pair by pair with Subspace.contains."""
+    ctx4 = context_for(2, 2, 2, [1, 2])  # k = GF(4), as in test_extension_base
+    for ctx, n_plus_1 in (
+        (ctx64, 2), (ctx64, 3), (ctx729, 3), (ctx64, 4), (ctx4, 2), (ctx4, 3)
+    ):
+        subs = all_subspaces(n_plus_1, ctx)
+        assert subs == sorted(subs, key=Subspace.sort_key)
+        _, above = _subspace_order(n_plus_1, ctx)
+        assert list(above) == subs
+        for a in subs:
+            assert list(above[a]) == [
+                b for b in subs if b.dim > a.dim and b.contains(a)
+            ]
+        proper = [s for s in subs if 0 < s.dim < n_plus_1]
+        chains = grow = [()]
+        while grow:
+            grow = [
+                c + (s,)
+                for c in grow
+                for s in proper
+                if not c or (s.dim > c[-1].dim and s.contains(c[-1]))
+            ]
+            chains = chains + grow
+        flags = sorted((Flag(n_plus_1, c) for c in chains), key=Flag.sort_key)
+        assert enumerate_flags(n_plus_1, ctx) == flags
 
 
 def test_flag_refinement_order(ctx64):
