@@ -56,7 +56,7 @@ class GroupElement:
             matrix = tuple(tuple(inv * a for a in row) for row in matrix)
         self.ctx = ctx
         self.matrix = matrix
-        self._hash = hash(tuple(tuple(a.coeffs for a in r) for r in matrix))
+        self._hash = hash(tuple(tuple(a.code for a in r) for r in matrix))
 
     @classmethod
     def identity(cls, n_plus_1, ctx):
@@ -110,7 +110,7 @@ class GroupElement:
         return self == GroupElement.identity(self.n_plus_1, self.ctx)
 
     def sort_key(self):
-        return tuple(tuple(a.coeffs for a in r) for r in self.matrix)
+        return tuple(tuple(a.code for a in r) for r in self.matrix)
 
     def __eq__(self, other):
         return isinstance(other, GroupElement) and self.matrix == other.matrix

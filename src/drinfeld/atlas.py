@@ -11,13 +11,15 @@ independent of the worker count used for counting.
 """
 
 import json
+import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 from .field import FieldCtx
-from .linalg import _subspace_order, all_subspaces, enumerate_flags, flag_leq
+from .linalg import _subspace_order, all_subspaces, enumerate_flags, flag_leq, gaussian_binomial
 from .points import (
+    _nonzero_subspace_count,
     b_classify,
     b_enumerate_flag,
     enumerate_functionals,
@@ -33,6 +35,7 @@ SCHEMA_VERSION = 1
 VARIETIES = ("P", "Q", "B")
 
 _MAX_POINTS = 200_000
+_MAX_STRATA = 4_000
 
 
 class StrataAtlas:
@@ -95,8 +98,37 @@ def _closure_pairs(variety, nodes, n_plus_1, ctx):
     return [(a, b) for b in nodes for a in above[b]]
 
 
-def _estimated_points(variety, n_plus_1, q, m):
-    return (q ** (m * n_plus_1) - 1) // (q**m - 1)
+def _chain_sum(n_plus_1, q, weight):
+    """The sum over the chains V = C_0 > C_1 > ... > 0 of the product of weight(d)
+    over their steps of codimension d: S(k) = sum_d [k choose d]_q weight(d) S(k-d)."""
+    totals = [1]
+    for k in range(1, n_plus_1 + 1):
+        totals.append(sum(
+            gaussian_binomial(k, d, q) * weight(d) * totals[k - d] for d in range(1, k + 1)
+        ))
+    return totals[-1]
+
+
+def _variety_total(variety, n_plus_1, q, m):
+    """The number of points over k_m in closed form: for P and Q the normalized
+    covectors of length n+1, for B one dense point of each quotient of its flag's
+    chain, of which a d-dimensional one has prod_{i=1..d-1} (q^m - q^i)."""
+    if variety != "B":
+        return (q ** (m * n_plus_1) - 1) // (q**m - 1)
+    return _chain_sum(n_plus_1, q, lambda d: math.prod(q**m - q**i for i in range(1, d)))
+
+
+def _check_desk_scale(variety, n_plus_1, q, m_list):
+    """ValueError, before anything is built, for too many strata (subspaces, or flags
+    for B, whose closure order is built pair by pair) or points over some k_m."""
+    if variety == "B":
+        strata = _chain_sum(n_plus_1, q, lambda d: 1)
+    else:
+        strata = _nonzero_subspace_count(n_plus_1, q)
+    if strata > _MAX_STRATA:
+        raise ValueError("stratum count exceeds the desk-scale bound")
+    if any(_variety_total(variety, n_plus_1, q, m) > _MAX_POINTS for m in m_list):
+        raise ValueError("point count exceeds the desk-scale bound")
 
 
 # --- counting workers -------------------------------------------------------
@@ -133,7 +165,7 @@ def _count_task(task):
 
 def _tasks_for(variety, n_plus_1, ctx, m):
     if variety == "P":
-        total = _estimated_points(variety, n_plus_1, ctx.q, m)
+        total = _variety_total(variety, n_plus_1, ctx.q, m)
         step = 512
         return [(m, 0, lo, min(lo + step, total)) for lo in range(0, total, step)]
     strata = _node_objects(variety, n_plus_1, ctx)
@@ -142,8 +174,6 @@ def _tasks_for(variety, n_plus_1, ctx, m):
 
 def count_stratum_points(variety, n_plus_1, ctx, m, jobs=1):
     "Counts per stratum key over k_m by enumeration + classification."
-    if _estimated_points(variety, n_plus_1, ctx.q, m) > _MAX_POINTS:
-        raise ValueError("point count exceeds the desk-scale bound")
     params = (ctx.p, ctx.e, ctx.D, ctx.modulus, variety, n_plus_1)
     tasks = _tasks_for(variety, n_plus_1, ctx, m)
     results = []
@@ -224,6 +254,7 @@ def build_atlas(variety, n_plus_1, ctx, m_list, jobs=1, cache_dir=None):
     """
     if variety not in VARIETIES:
         raise ValueError(f"variety must be one of {VARIETIES}")
+    _check_desk_scale(variety, n_plus_1, ctx.q, m_list)
     node_objs = _node_objects(variety, n_plus_1, ctx)
     nodes = [
         (_node_key(variety, s, ctx), _dim_index(variety, s, n_plus_1))

@@ -10,9 +10,9 @@ import argparse
 import json
 import sys
 
-from .atlas import build_atlas, export
+from .atlas import _check_desk_scale, build_atlas, export
 from .errors import InvariantViolation
-from .field import context_for, is_prime
+from .field import FieldCtx, context_for
 from .points import (
     PPoint,
     QPoint,
@@ -197,10 +197,10 @@ def cmd_verify(args):
                 _at_least(args, name, low)
             qs = tuple(int(t) for t in args.q.split(","))
             for q in qs:
-                if not is_prime(q):
-                    raise ValueError(
-                        f"q = {q} is not prime (the suites run over prime fields)"
-                    )
+                # the suites run over prime fields (the field's size bound is
+                # checked before primality) and build every B point in range
+                FieldCtx(q, 1, 1)
+                _check_desk_scale("B", args.max_n + 1, q, range(1, args.max_m + 1))
             suites = tuple(t for t in args.suites.split(",") if t) if args.suites else ()
             cfg = VerifyConfig(
                 qs=qs,

@@ -5,9 +5,13 @@ degree m over k (with m*e dividing D) live inside a single quotient ring
 GF(p^D) = F_p[x]/(modulus).  Subfields are never materialised as separate
 towers: membership in k_m is the Frobenius fixed-point test a^(q^m) = a.
 
-Elements are dense coefficient vectors with respect to the power basis
-1, x, ..., x^(D-1).  No discrete-log tables; all products are polynomial
-products reduced mod (modulus, p).
+An element's code is the int whose base-p digits are its coefficients in
+the power basis 1, x, ..., x^(D-1), constant term most significant, so codes
+sort as coefficient tuples do.  Each context holds one Element per code and,
+over a primitive element g, log tables and Zech's logarithms log(1 + g^n)
+(Lidl & Niederreiter, Finite Fields, ch. 9): every operation is one table
+step.  Polynomial arithmetic is left to the irreducibility test and the
+table build.
 """
 
 import math
@@ -80,17 +84,90 @@ def smallest_irreducible(p, degree):
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
-# The largest ambient field is GF(p^D) with p^D <= 2^_MAX_FIELD_BITS.  Above
-# it, primality and irreducibility by trial division stop being cheap.
-_MAX_FIELD_BITS = 24
+def _code(coeffs, p, D):
+    "The code of up to D coefficients (low degree first, zeros implied)."
+    code = 0
+    for c in coeffs:
+        code = code * p + c
+    return code * p ** (D - len(coeffs))
+
+
+def _coeffs(code, p, D):
+    "The D coefficients of a code, low degree first."
+    out = [0] * D
+    for i in range(D - 1, -1, -1):
+        code, out[i] = divmod(code, p)
+    return out
+
+
+def _primitive_powers(p, D, modulus):
+    """The codes of g^0, g^1, ..., g^(p^D - 2), g primitive.
+
+    Elements are coefficient lists here.  Multiplying by x is one shift, so
+    the powers of x are walked.  If x only generates a subgroup H of index
+    s > 1, the first g in code order that passes the order test gives the
+    cosets g^i H, i < s, each walked by x: with g^s = x^w, g^i x^k = g^(i + sk/w).
+    """
+    order = p**D - 1
+    red = [-c % p for c in modulus[:-1]]  # x^D = sum of red[i] x^i
+
+    def times_x(a):
+        return [a[-1] * red[0] % p] + [(c + a[-1] * r) % p for c, r in zip(a, red[1:])]
+
+    def mul(a, b):
+        out = [0] * D
+        for c in b:
+            out = [(s + c * t) % p for s, t in zip(out, a)]
+            a = times_x(a)
+        return out
+
+    def power(a, n):
+        out = one
+        for bit in bin(n)[2:]:
+            out = mul(out, out)
+            if bit == "1":
+                out = mul(out, a)
+        return out
+
+    one = _coeffs(p ** (D - 1), p, D)
+    primes = [l for l in range(2, order + 1) if order % l == 0 and is_prime(l)]
+    g = next(
+        a for a in (_coeffs(c, p, D) for c in range(1, order + 1))
+        if all(power(a, order // l) != one for l in primes)
+    )
+    # over F_p, x may be 0: walk by g instead
+    step = times_x if D > 1 else (lambda a: mul(a, g))
+    walk = [one]
+    while (a := step(walk[-1])) != one:
+        walk.append(a)
+    r, s = len(walk), order // len(walk)
+    if s == 1:
+        return [_code(a, p, D) for a in walk]
+    x_log = {_code(a, p, D): k for k, a in enumerate(walk)}
+    log_x = s * pow(x_log[_code(power(g, s), p, D)], -1, r)
+    codes = [0] * order
+    g_i = one
+    for i in range(s):
+        a = g_i
+        for k in range(r):
+            codes[(i + log_x * k) % order] = _code(a, p, D)
+            a = times_x(a)
+        g_i = mul(g_i, g)
+    return codes
+
+
+# The largest ambient field is GF(p^D) with p^D <= 2^_MAX_FIELD_BITS: the
+# budget of the tables every context builds, one entry per element.
+_MAX_FIELD_BITS = 16
 
 
 class FieldCtx:
     """The ambient field GF(p^D) together with k = GF(p^e) sitting inside it.
 
-    D must be a multiple of e and p^D at most 2^24.  The modulus
-    defaults to the lexicographically smallest monic irreducible of degree
-    D; a caller-supplied modulus is verified irreducible.
+    D must be a multiple of e and p^D at most 2^16.  The modulus defaults to
+    the lexicographically smallest monic irreducible of degree D; a
+    caller-supplied modulus is verified irreducible.  The tables are built
+    here, once per context.
     """
 
     def __init__(self, p, e, D, modulus=None):
@@ -115,78 +192,30 @@ class FieldCtx:
         self.D = D
         self.q = p**e
         self.modulus = modulus
-        # x^(D+t) mod modulus, for t = 0..D-2: enough to reduce any product.
-        red = []
-        cur = tuple((-c) % p for c in modulus[:-1])
-        red.append(cur)
-        for _ in range(D - 2):
-            nxt = [0] * D
-            for i, c in enumerate(cur[: D - 1]):
-                nxt[i + 1] = c
-            top = cur[D - 1]
-            if top:
-                for i, c in enumerate(red[0]):
-                    nxt[i] = (nxt[i] + top * c) % p
-            cur = tuple(nxt)
-            red.append(cur)
-        self._reduction = tuple(red)
-        self.zero = Element(self, (0,) * D)
-        self.one = Element(self, (1,) + (0,) * (D - 1))
-        # a -> a^q is F_p-linear; tabulate the images of the power basis.
-        self._frob_basis = tuple(
-            self._reduce_powers({j * self.q: 1}) for j in range(D)
-        )
-        self._inv_cache = {}
-
-    def _reduce_powers(self, sparse):
-        "Reduce a sparse {exponent: coeff} polynomial mod (modulus, p)."
-        out = [0] * self.D
-        pending = dict(sparse)
-        while pending:
-            exp, c = pending.popitem()
-            c %= self.p
-            if not c:
-                continue
-            if exp < self.D:
-                out[exp] = (out[exp] + c) % self.p
-            elif exp - self.D < len(self._reduction):
-                for i, r in enumerate(self._reduction[exp - self.D]):
-                    if r:
-                        out[i] = (out[i] + c * r) % self.p
-            else:
-                # split exponent; only needed while tabulating x^(jq)
-                half = exp // 2
-                a = self._reduce_powers({half: 1})
-                b = self._reduce_powers({exp - half: 1})
-                prod = self._mul_coeffs(a, b)
-                for i, r in enumerate(prod):
-                    if r:
-                        out[i] = (out[i] + c * r) % self.p
-        return tuple(out)
-
-    def _mul_coeffs(self, a, b):
-        p, D = self.p, self.D
-        conv = [0] * (2 * D - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        out = [c % p for c in conv[:D]]
-        for t in range(D - 1):
-            c = conv[D + t] % p
-            if c:
-                for i, r in enumerate(self._reduction[t]):
-                    if r:
-                        out[i] = (out[i] + c * r) % p
-        return tuple(out)
+        self._order = order = p**D - 1
+        # nonzero logs lie in range(order) and zero's is 2*order, so a sum of
+        # two logs indexes _antilog: g^(sum) below 2*order, zero from there on
+        codes = _primitive_powers(p, D, modulus)
+        log = [2 * order] * (order + 1)
+        for i, c in enumerate(codes):
+            log[c] = i
+        self._els = tuple(Element(self, c, log[c]) for c in range(order + 1))
+        top = p ** (D - 1)  # the code of 1
+        self.zero, self.one = self._els[0], self._els[top]
+        self._antilog = [self._els[c] for c in codes] * 2 + [self.zero] * (2 * order + 1)
+        # 1 + a adds 1 to a's most significant digit
+        self._zech = [log[c + top if c < (p - 1) * top else c - (p - 1) * top] for c in codes]
+        # -1 = g^half; 1 - g^n = 1 + g^(n + half)
+        self._half = order // 2 if p > 2 else 0
+        self._zech_minus = self._zech[self._half:] + self._zech[: self._half]
+        self._inv_q = pow(self.q, D // e - 1, order)
 
     def element(self, coeffs):
         "Element from an iterable of up to D residues (low degree first)."
-        coeffs = tuple(int(c) % self.p for c in coeffs)
+        coeffs = [int(c) % self.p for c in coeffs]
         if len(coeffs) > self.D:
             raise ValueError("too many coefficients")
-        return Element(self, coeffs + (0,) * (self.D - len(coeffs)))
+        return self._els[_code(coeffs, self.p, self.D)]
 
     def from_int(self, n):
         "The image of the integer n, i.e. n * 1."
@@ -194,66 +223,28 @@ class FieldCtx:
 
     def elements(self):
         "All p^D elements, sorted by coefficient tuple."
-        return [
-            Element(self, tail) for tail in product(range(self.p), repeat=self.D)
-        ]
+        return list(self._els)
 
     def frobenius(self, a):
-        "a^q, computed as an F_p-linear map via the tabulated basis images."
-        out = [0] * self.D
-        for j, c in enumerate(a.coeffs):
-            if c:
-                for i, r in enumerate(self._frob_basis[j]):
-                    if r:
-                        out[i] = (out[i] + c * r) % self.p
-        return Element(self, tuple(out))
+        "a^q: the log times q."
+        return self._antilog[a.log * self.q % self._order] if a.code else a
 
     def inv_frobenius(self, a):
-        "The inverse of a -> a^q on GF(p^D); frobenius iterated D/e - 1 times."
-        for _ in range(self.D // self.e - 1):
-            a = self.frobenius(a)
-        return a
+        "The inverse of a -> a^q on GF(p^D): the log times q^(D/e - 1)."
+        return self._antilog[a.log * self._inv_q % self._order] if a.code else a
 
     def in_subfield(self, a, m):
-        "Whether a lies in k_m, i.e. is fixed by m applications of a -> a^q."
-        b = a
-        for _ in range(m):
-            b = self.frobenius(b)
-        return b == a
+        "Whether a lies in k_m, a^(q^m) = a: whether log * (q^m - 1) = 0 mod p^D - 1."
+        order = self._order
+        return not a.code or a.log * (pow(self.q, m, order) - 1) % order == 0
 
     @lru_cache(maxsize=None)
     def subfield_elements(self, m):
-        """All q^m elements of k_m, sorted; requires m*e | D.
-
-        Computed as the F_p-kernel of (Frob^m - id), not by scanning GF(p^D).
-        """
+        "All q^m elements of k_m, sorted: 0 and the powers of g^((p^D-1)/(q^m-1))."
         if self.D % (m * self.e) != 0:
             raise ValueError(f"k_{m} does not embed in GF({self.p}^{self.D})")
-        p, D = self.p, self.D
-        cols = []
-        for j in range(D):
-            v = [0] * D
-            v[j] = 1
-            a = Element(self, tuple(v))
-            for _ in range(m):
-                a = self.frobenius(a)
-            col = list(a.coeffs)
-            col[j] = (col[j] - 1) % p
-            cols.append(col)
-        # kernel of the D x D matrix with the above columns, over F_p
-        rows = [[cols[j][i] for j in range(D)] for i in range(D)]
-        basis = _int_kernel_mod_p(rows, p)
-        elems = set()
-        for combo in product(range(p), repeat=len(basis)):
-            acc = [0] * D
-            for c, vec in zip(combo, basis):
-                if c:
-                    for i, v in enumerate(vec):
-                        acc[i] = (acc[i] + c * v) % p
-            elems.add(Element(self, tuple(acc)))
-        out = sorted(elems, key=lambda a: a.coeffs)
-        assert len(out) == self.q**m
-        return tuple(out)
+        step = self._order // (self.q**m - 1)
+        return tuple(sorted([self.zero] + self._antilog[: self._order : step]))
 
     @property
     def k_elements(self):
@@ -274,94 +265,72 @@ class FieldCtx:
 
 
 class Element:
-    """An element of GF(p^D) as a dense coefficient vector; immutable."""
+    """An element of GF(p^D): its code and its log over the context's
+    primitive element.  Each context holds exactly one Element per code."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "code", "log")
 
-    def __init__(self, ctx, coeffs):
+    def __init__(self, ctx, code, log):
         self.ctx = ctx
-        self.coeffs = coeffs
+        self.code = code
+        self.log = log
+
+    @property
+    def coeffs(self):
+        "The coefficients in the power basis, low degree first."
+        return tuple(_coeffs(self.code, self.ctx.p, self.ctx.D))
 
     def __add__(self, other):
-        p = self.ctx.p
-        return Element(
-            self.ctx,
-            tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        if not (self.code and other.code):
+            return other if other.code else self
+        i = self.log
+        return self.ctx._antilog[i + self.ctx._zech[other.log - i]]
 
     def __sub__(self, other):
-        p = self.ctx.p
-        return Element(
-            self.ctx,
-            tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        if not (self.code and other.code):
+            return -other if other.code else self
+        i = self.log
+        return self.ctx._antilog[i + self.ctx._zech_minus[other.log - i]]
 
     def __neg__(self):
-        p = self.ctx.p
-        return Element(self.ctx, tuple((-a) % p for a in self.coeffs))
+        return self.ctx._antilog[self.log + self.ctx._half]
 
     def __mul__(self, other):
-        return Element(self.ctx, self.ctx._mul_coeffs(self.coeffs, other.coeffs))
+        return self.ctx._antilog[self.log + other.log]
 
     def __pow__(self, n):
+        if self.code:
+            return self.ctx._antilog[self.log * n % self.ctx._order]
         if n < 0:
-            return self.inverse() ** (-n)
-        result = self.ctx.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            raise ZeroDivisionError("inverse of zero")
+        return self if n else self.ctx.one
 
     def inverse(self):
-        "Multiplicative inverse by the extended Euclidean algorithm."
-        if not self:
+        "The multiplicative inverse: the log negated."
+        if not self.code:
             raise ZeroDivisionError("inverse of zero")
-        cached = self.ctx._inv_cache.get(self.coeffs)
-        if cached is not None:
-            return cached
-        p = self.ctx.p
-        r0, r1 = self.ctx.modulus, _poly_trim(self.coeffs)
-        s0, s1 = (), (1,)
-        while r1:
-            q, r = _poly_divmod(r0, r1, p)
-            # s = s0 - q*s1
-            s = list(s0) + [0] * max(0, len(q) + len(s1) - 1 - len(s0))
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        s[i + j] = (s[i + j] - qi * sj) % p
-            r0, r1, s0, s1 = r1, r, s1, _poly_trim(s)
-        # r0 is a nonzero constant gcd
-        c = pow(r0[0], p - 2, p)
-        inv = self.ctx.element(tuple((c * si) % p for si in s0))
-        self.ctx._inv_cache[self.coeffs] = inv
-        return inv
+        return self.ctx._antilog[self.ctx._order - self.log]
 
     def __truediv__(self, other):
         return self * other.inverse()
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.code != 0
 
     def __eq__(self, other):
-        return isinstance(other, Element) and self.coeffs == other.coeffs
+        return isinstance(other, Element) and self.code == other.code
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return self.code
 
     def __lt__(self, other):
-        return self.coeffs < other.coeffs
-
-    def __reduce__(self):
-        return (Element, (self.ctx, self.coeffs))
+        return self.code < other.code
 
     def __repr__(self):
-        if all(c == 0 for c in self.coeffs[1:]):
-            return str(self.coeffs[0])
-        return "poly" + str(_poly_trim(self.coeffs))
+        coeffs = self.coeffs
+        if all(c == 0 for c in coeffs[1:]):
+            return str(coeffs[0])
+        return "poly" + str(_poly_trim(coeffs))
 
 
 def _int_rref_mod_p(rows, p):
@@ -418,15 +387,15 @@ def field_make(p, e, lcm_degrees):
 
 
 def context_for(p, e, n_plus_1, m_list):
-    """The ambient field needed to work with V = k^(n+1) over the given
-    extensions: it must contain every k_m and every k_d with d <= n+1
-    (eigenvalues of stabilizer blocks live there)."""
-    degrees = 1
-    for d in range(1, n_plus_1 + 1):
-        degrees = math.lcm(degrees, d)
-    for m in m_list:
-        degrees = math.lcm(degrees, m)
-    return field_make(p, e, degrees)
+    """The ambient field for V = k^(n+1) over the extensions k_m, m in
+    m_list: the smallest one containing them all, D = e * lcm(m_list).
+
+    Nothing needs more.  Points, their twists and the scalars lambda of a
+    stabilizer block all lie in k_m; whether lambda lies in some k_d is a
+    fixed-point test, exact in any field containing k_m; and ranks over k_m
+    do not depend on the field they are computed in.  n_plus_1 is kept for
+    callers and does not enter D."""
+    return field_make(p, e, math.lcm(*m_list))
 
 
 def frobenius_k(a):

@@ -49,7 +49,7 @@ def rref(rows):
 
 def vec_key(v):
     "Deterministic sort key for a vector of field elements."
-    return tuple(a.coeffs for a in v)
+    return tuple(a.code for a in v)
 
 
 class Subspace:
@@ -60,7 +60,7 @@ class Subspace:
     def __init__(self, n_plus_1, rows):
         self.n_plus_1 = n_plus_1
         self.rows = rows
-        self._hash = hash((n_plus_1, tuple(tuple(a.coeffs for a in r) for r in rows)))
+        self._hash = hash((n_plus_1, tuple(tuple(a.code for a in r) for r in rows)))
 
     @classmethod
     def span(cls, n_plus_1, vectors):
@@ -135,7 +135,7 @@ class Subspace:
         return Subspace.span(self.n_plus_1, list(self.rows) + list(other.rows))
 
     def sort_key(self):
-        return (self.dim, tuple(tuple(a.coeffs for a in r) for r in self.rows))
+        return (self.dim, tuple(tuple(a.code for a in r) for r in self.rows))
 
     def __eq__(self, other):
         return (

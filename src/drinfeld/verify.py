@@ -22,6 +22,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
+from .atlas import _variety_total
 from .field import context_for, frobenius_k
 from .linalg import (
     Subspace,
@@ -108,11 +109,6 @@ def _all_points(ctx, n_plus_1, m):
         + q_enumerate(ctx, n_plus_1, m)
         + b_enumerate(ctx, n_plus_1, m)
     )
-
-
-def _p_total(q, n_plus_1, m):
-    "|P(k_m)|: the normalized covectors of length n+1 over k_m."
-    return (q ** (m * n_plus_1) - 1) // (q**m - 1)
 
 
 def _q_total(ctx, n_plus_1, m):
@@ -261,7 +257,7 @@ def check_linalg_canonical_uniqueness(cfg):
 def check_points_partition_p(cfg):
     for q, n_plus_1, m, ctx in _configs(cfg):
         pts = p_enumerate(ctx, n_plus_1, m)
-        want = _p_total(q, n_plus_1, m)
+        want = _variety_total("P", n_plus_1, q, m)
         if len(pts) != want:
             return False, f"|P| = {len(pts)} != {want} at q={q} n+1={n_plus_1} m={m}"
         if sum(Counter(p_classify(x) for x in pts).values()) != want:
@@ -544,7 +540,7 @@ def check_atlas_partitions(cfg):
             atlas_q = build_atlas("Q", n_plus_1, ctx, ms, jobs=cfg.jobs)
             atlas_b = build_atlas("B", n_plus_1, ctx, ms, jobs=cfg.jobs)
             for m in ms:
-                want = _p_total(q, n_plus_1, m)
+                want = _variety_total("P", n_plus_1, q, m)
                 if atlas_p.total(m) != want:
                     return False, f"P total {atlas_p.total(m)} != {want}"
                 q_want = _q_total(ctx, n_plus_1, m)
@@ -703,7 +699,7 @@ def criterion_1(shared):
         ctx = _ctx_for(q, n_plus_1, max(ms))
         for m in ms:
             p_pts = p_enumerate(ctx, n_plus_1, m)
-            p_want = _p_total(q, n_plus_1, m)
+            p_want = _variety_total("P", n_plus_1, q, m)
             if len(p_pts) != p_want or len(set(p_pts)) != len(p_pts):
                 return False, f"P partition failed at q={q} n+1={n_plus_1} m={m}"
             per_p = Counter(p_classify(x) for x in p_pts)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from drinfeld import (
@@ -9,7 +11,9 @@ from drinfeld import (
     act_Q,
     act_B,
     b_enumerate,
+    context_for,
     enumerate_pgl,
+    field_make,
     fixes,
     fixpoint_check_omega,
     omega_embed_q,
@@ -26,7 +30,7 @@ from drinfeld import (
     unipotent_radical_k,
 )
 from drinfeld.action import GroupElement
-from drinfeld.points import b_classify, enumerate_omega
+from drinfeld.points import b_classify, enumerate_omega, flag_str, subspace_str, vector_str
 
 
 def vecs(ctx, *ints):
@@ -329,3 +333,38 @@ def test_stabilizer_orders_factor_through_blocks(ctx64):
             )
         want = q**stars * (q - 1) ** (len(dims) - 1) * prod
         assert len(stabilizer_bruteforce(x, groups[3])) == want
+
+
+# --- the ambient degree -----------------------------------------------------
+
+
+def _strata_and_stabilizers(ctx, n_plus_1, m):
+    "Sorted (kind, stratum key, predicted stabilizer) of every point over k_m."
+    group = enumerate_pgl(n_plus_1, ctx)
+    out = []
+    for kind, enum, classify, key in (
+        ("P", p_enumerate, p_classify, subspace_str),
+        ("Q", q_enumerate, q_classify, subspace_str),
+        ("B", b_enumerate, b_classify, flag_str),
+    ):
+        for x in enum(ctx, n_plus_1, m):
+            members = sorted(
+                ";".join(vector_str(row, ctx) for row in g.matrix)
+                for g in stabilizer_predicted(x, group)
+            )
+            out.append((kind, key(classify(x), ctx), members))
+    return sorted(out)
+
+
+@pytest.mark.parametrize(
+    "q, n_plus_1, m", [(2, 3, 1), (2, 3, 2), (3, 2, 1), (3, 2, 2)]
+)
+def test_stabilizers_do_not_depend_on_the_ambient_degree(q, n_plus_1, m):
+    # context_for takes the smallest field holding k_m; the field that also
+    # holds every k_d with d <= n+1, where block eigenvalues could live, gives
+    # the same strata and stabilizers
+    small = context_for(q, 1, n_plus_1, [m])
+    large = field_make(q, 1, math.lcm(*range(1, n_plus_1 + 1), m))
+    assert small.D == m
+    assert (_strata_and_stabilizers(small, n_plus_1, m)
+            == _strata_and_stabilizers(large, n_plus_1, m))

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from drinfeld import build_atlas, export
-from drinfeld.atlas import transitive_reduction
+from drinfeld import build_atlas, context_for, export
+from drinfeld.atlas import VARIETIES, _variety_total, transitive_reduction
 
 
 def test_p_atlas_dim_two(ctx64):
@@ -140,3 +140,19 @@ def test_q_totals_match_p_totals(ctx64, ctx729):
     ab = build_atlas("B", 3, ctx64, [2])
     ap = build_atlas("P", 3, ctx64, [2])
     assert ab.total(2) == 49 > ap.total(2) == 21
+
+
+@pytest.mark.parametrize(
+    "q, n_plus_1, ms", [(2, 2, (1, 2, 3)), (2, 3, (1, 2, 3)), (3, 3, (1,)), (2, 4, (1, 2))]
+)
+def test_closed_form_totals_match_enumeration(q, n_plus_1, ms):
+    ctx = context_for(q, 1, n_plus_1, ms)
+    for variety in VARIETIES:
+        atlas = build_atlas(variety, n_plus_1, ctx, list(ms))
+        assert [atlas.total(m) for m in ms] == [
+            _variety_total(variety, n_plus_1, q, m) for m in ms
+        ]
+    # B by hand, from one dense point per quotient of each flag's chain
+    by_hand = {(2, 3): [21, 49, 129], (3, 3): [52], (2, 4): [315, 1085]}
+    if (q, n_plus_1) in by_hand:
+        assert [_variety_total("B", n_plus_1, q, m) for m in ms] == by_hand[q, n_plus_1]

@@ -200,11 +200,44 @@ def test_point_json_field_above_the_size_bound_is_an_error(dense_point_json):
     _fast_error(obj)
 
 
+def test_point_json_over_the_largest_prime_field_classifies(dense_point_json):
+    # GF(65521) is the largest prime field within p^D <= 2^16
+    obj = json.loads(dense_point_json)
+    obj["field"] = {"p": 65521, "e": 1, "D": 1, "modulus": [0, 1]}
+    obj["data"]["coords"] = [[1], [3]]
+    proc = run_cli(["classify", "--format", "json"], stdin=json.dumps(obj).encode(),
+                   timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    # the point is k-rational: its kernel is the line through (1, -1/3)
+    kernel = f"1,{-pow(3, -1, 65521) % 65521}"
+    assert json.loads(proc.stdout) == {"stratum": kernel, "valid": True, "variety": "P"}
+    # the next prime is past the bound
+    obj["field"] = {"p": 65537, "e": 1, "D": 1, "modulus": [0, 1]}
+    _fast_error(obj)
+
+
 def test_count_with_a_field_above_the_size_bound_is_an_error():
-    # n+1 = 5 asks for an ambient field of degree lcm(1..5) = 60 over GF(2)
+    # k_17 over GF(2) needs an ambient field of 2^17 elements
     _assert_one_error_line(run_cli(
-        ["count", "--variety", "P", "--n", "4", "--m", "1", "--no-cache"], timeout=30
+        ["count", "--variety", "P", "--n", "1", "--m", "17", "--no-cache"], timeout=30
     ))
+
+
+def test_count_at_dimension_five():
+    # the ambient field is k itself, GF(2): the P points over k number 2^5 - 1
+    proc = run_cli(["count", "--variety", "P", "--n", "4", "--m", "1",
+                    "--format", "json", "--no-cache"], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["totals"] == {"1": 31}
+
+
+def test_atlas_above_the_desk_scale_bound_is_an_error():
+    # B at n+1 = 6 over k_2 has 4,488,645 points; B at n+1 = 5 has 27,808
+    # flags and P at n+1 = 7 has 29,212 subspaces, as strata
+    for argv in (["count", "--variety", "B", "--n", "5", "--m", "2"],
+                 ["count", "--variety", "B", "--n", "4", "--m", "1"],
+                 ["strata", "--variety", "P", "--n", "6"]):
+        _assert_one_error_line(run_cli(argv + ["--no-cache"], timeout=30))
 
 
 def test_stabilizer_output(dense_point_json):
@@ -280,9 +313,11 @@ def test_verify_passes_at_dim_two():
 
 
 def test_verify_rejects_out_of_range_arguments():
+    # 2^61 - 1 is prime, too large for the field bound and for trial division;
+    # --max-n 4 would build all 27,808 flags of k^5
     for args in (["--max-n", "0"], ["--max-m", "0"], ["--perturbations", "-1"],
-                 ["--jobs", "0"]):
-        proc = run_cli(["verify", "--suites", "field"] + args)
+                 ["--jobs", "0"], ["--q", "2305843009213693951"], ["--max-n", "4"]):
+        proc = run_cli(["verify", "--suites", "field"] + args, timeout=30)
         assert proc.returncode == 2 and not proc.stdout
         assert proc.stderr.decode().startswith("configuration error:")
 

@@ -203,3 +203,109 @@ def test_int_elimination_mod_p_against_enumeration():
             assert _span_mod_p(ech, p, ncols) == row_space
     assert _int_kernel_mod_p([], 2) == []
     assert _int_rref_mod_p([], 3) == ([], [])
+
+
+# --- polynomial arithmetic: the oracle for the tables -------------------------
+#
+# Plain coefficient-tuple arithmetic over F_p (low degree first), written
+# without the package: the product, long division, the extended Euclidean
+# inverse and the q-power map.
+
+
+def _trim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return _trim(out)
+
+
+def _poly_div(num, den, p):
+    "(quotient, remainder); den nonzero and trimmed."
+    num, quot = _trim(num), [0] * max(len(num) - len(den) + 1, 1)
+    inv = pow(den[-1], p - 2, p)
+    while len(num) >= len(den):
+        c, shift = num[-1] * inv % p, len(num) - len(den)
+        quot[shift] = c
+        for j, d in enumerate(den):
+            num[shift + j] = (num[shift + j] - c * d) % p
+        num = _trim(num)
+    return _trim(quot), num
+
+
+def _reduce(a, ctx):
+    r = _poly_div(a, list(ctx.modulus), ctx.p)[1]
+    return tuple(r) + (0,) * (ctx.D - len(r))
+
+
+def _poly_inverse(a, ctx):
+    "s with s*a = 1 mod modulus, from the Euclidean algorithm on (modulus, a)."
+    p = ctx.p
+    r0, r1, s0, s1 = list(ctx.modulus), _trim(a), [], [1]
+    while r1:
+        quot, rem = _poly_div(r0, r1, p)
+        prod = _poly_mul(quot, s1, p) if quot and s1 else []
+        width = max(len(s0), len(prod))
+        s = [((s0[i] if i < len(s0) else 0) - (prod[i] if i < len(prod) else 0)) % p
+             for i in range(width)]
+        r0, r1, s0, s1 = r1, rem, s1, _trim(s)
+    c = pow(r0[0], p - 2, p)  # r0 is the nonzero constant gcd
+    return _reduce([c * x % p for x in s0], ctx)
+
+
+def _poly_pow(a, n, ctx):
+    result, base = [1], _trim(a)
+    while n:
+        if n & 1:
+            result = list(_reduce(_poly_mul(result, base, ctx.p), ctx)) if base else []
+        base = list(_reduce(_poly_mul(base, base, ctx.p), ctx)) if base else []
+        n >>= 1
+    return _reduce(result, ctx)
+
+
+@pytest.mark.parametrize("p, e, D", [(2, 1, 6), (3, 1, 4), (5, 1, 2), (2, 2, 4)])
+def test_tables_against_polynomial_arithmetic(p, e, D):
+    # every operation on every element and every pair, on GF(2^6), GF(3^4),
+    # GF(5^2) and GF(2^4) over k = GF(4)
+    from itertools import product
+
+    ctx = FieldCtx(p, e, D)
+    els = ctx.elements()
+    # element order is coefficient-tuple order, and each tuple names one element
+    assert [a.coeffs for a in els] == list(product(range(p), repeat=D))
+    assert all(ctx.element(a.coeffs) is a for a in els)
+    for a in els:
+        x = a.coeffs
+        assert (-a).coeffs == tuple(-c % p for c in x)
+        assert ctx.frobenius(a).coeffs == _poly_pow(x, ctx.q, ctx)
+        assert ctx.inv_frobenius(ctx.frobenius(a)) is a
+        assert (a**5).coeffs == _poly_pow(x, 5, ctx)
+        if a:
+            assert a.inverse().coeffs == _poly_inverse(x, ctx)
+        for b in els:
+            y = b.coeffs
+            assert (a * b).coeffs == _reduce(_poly_mul(x, y, p) if a and b else [], ctx)
+            assert (a + b).coeffs == tuple((s + t) % p for s, t in zip(x, y))
+            assert (a - b).coeffs == tuple((s - t) % p for s, t in zip(x, y))
+    for m in range(1, D // e + 1):
+        if D % (m * e):
+            continue
+        fixed = [a for a in els if _poly_pow(a.coeffs, ctx.q**m, ctx) == a.coeffs]
+        assert list(ctx.subfield_elements(m)) == fixed
+        assert [a for a in els if ctx.in_subfield(a, m)] == fixed
+
+
+def test_field_size_bound_is_checked_before_primality():
+    # 2^61 - 1 is prime; trial division would not finish
+    with pytest.raises(ValueError, match="at most 2"):
+        FieldCtx(2**61 - 1, 1, 1)
+    with pytest.raises(ValueError, match="at most 2"):
+        FieldCtx(2, 1, 17)
+    assert len(FieldCtx(2, 1, 16).k_elements) == 2
