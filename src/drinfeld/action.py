@@ -7,13 +7,19 @@ compared: once by sheer brute force over the whole group, and once through
 the block-triangular description, whose diagonal blocks act as Galois-twisted
 scalars on the twist span of a dense quotient point (fixpoint_check_omega).
 
-Brute force asks fixes(x, g) of every g, which answers act(x, g) == x
-without building the moved point and stops at the first mismatch.  The
-predicted route builds everything that depends only on the point once per
-call: the density check, twist orbit and closing divisors of each quotient
-covector, and the projection onto each block's complement coordinates.
+Both routes read a group element as its permutations of the vector,
+subspace and line ids of linalg._subspace_order.  Brute force asks
+fixes(x, g) of every g: lookups of the point's values at permuted vector
+ids, stopping at the first mismatch; its subgroup check and
+GroupElement.order compose line permutations.  The predicted route builds
+all that depends only on the point once per call, looks up the flag's
+invariance in the subspace permutation, and reads each block's quotient
+coordinates and twist values by vector id.  act, act_P/Q/B, apply,
+apply_subspace, compose and inverse stay on matrices: they are the slow
+oracle that the tests and verify compare the permutations with.
 """
 
+import math
 from functools import lru_cache
 from itertools import product
 
@@ -21,9 +27,9 @@ from .errors import DefectSignal
 from .linalg import (
     Flag,
     Subspace,
+    _subspace_order,
     apply_functional,
     coords_to_ambient,
-    enumerate_subspaces,
     normalize_functional,
     functional_ratio,
     quotient_functional,
@@ -34,6 +40,7 @@ from .points import (
     BPoint,
     PPoint,
     QPoint,
+    _family_values,
     _quotient_projection,
     b_classify,
     p_classify,
@@ -46,7 +53,7 @@ class GroupElement:
     """An element of PGL(n+1, k): an invertible matrix over k, scaled so the
     first nonzero entry in row-major order is 1."""
 
-    __slots__ = ("ctx", "matrix", "_hash")
+    __slots__ = ("ctx", "matrix", "_hash", "_perms")
 
     def __init__(self, ctx, matrix):
         matrix = tuple(tuple(r) for r in matrix)
@@ -57,6 +64,7 @@ class GroupElement:
         self.ctx = ctx
         self.matrix = matrix
         self._hash = hash(tuple(tuple(a.code for a in r) for r in matrix))
+        self._perms = None
 
     @classmethod
     def identity(cls, n_plus_1, ctx):
@@ -97,13 +105,30 @@ class GroupElement:
             raise ValueError("matrix not invertible")
         return GroupElement(ctx, [r[n:] for r in ech])
 
+    def permutations(self):
+        """(vector, subspace, line): g as permutations of the ids of
+        _subspace_order(n+1, ctx), built on first use and kept.  The vector
+        one is read through this representative; the line one, numbered
+        from 0, is faithful on PGL, so it stands in for g in products,
+        inverses and membership."""
+        if self._perms is None:
+            index = _subspace_order(self.n_plus_1, self.ctx)
+            vector_id, by_bits = index.vector_id, index.by_bits
+            vperm = tuple(vector_id[self.apply(v)] for v in index.vectors)
+            sperm = tuple(by_bits[sum(1 << vperm[i] for i in m)] for m in index.members)
+            # the lines are the subspaces with ids 1 .. len(by_dim[1])
+            lperm = tuple(s - 1 for s in sperm[1 : 1 + len(index.by_dim[1])])
+            self._perms = (vperm, sperm, lperm)
+        return self._perms
+
     def order(self):
-        e = GroupElement.identity(self.n_plus_1, self.ctx)
-        g = self
-        n = 1
-        while g != e:
-            g = g.compose(self)
-            n += 1
+        "The order in PGL: the lcm of the cycle lengths of the line permutation."
+        perm, n = self.permutations()[2], 1
+        for start in range(len(perm)):
+            length, i = 1, perm[start]
+            while i != start:
+                length, i = length + 1, perm[i]
+            n = math.lcm(n, length)
         return n
 
     def is_identity(self):
@@ -204,27 +229,57 @@ def fixes(x, g):
     lam * r with lam = r(g(v0)) at the vector v0 where r is normalized to 1
     (Q), and the family subspace by subspace, largest first (B).
     """
+    return _fixes_test(x)(g)
+
+
+def _fixes_test(x):
+    """fixes(x, .) as a test of g's permutations against x's values at the
+    vector ids, built here once: l on every vector (P), the table (Q), and
+    each l_W on the vectors of W (B).  For B the subspaces of dimension at
+    least 2 are compared, largest first: they carry the most constraints,
+    so most group elements fail on the first few; on a line a normalized
+    functional is (1,), whatever the point and g."""
+    index = _subspace_order(x.n_plus_1, x.ctx)
     if isinstance(x, PPoint):
-        cols = zip(*g.matrix)
-        pulled = tuple(apply_functional(x.coords, col) for col in cols)
-        return functional_ratio(pulled, x.coords) is not None
-    if isinstance(x, QPoint):
-        table = x.table
-        v0 = next(v for v, val in table.items() if val)
-        lam = table[g.apply(v0)]
-        return all(table[g.apply(v)] == lam * val for v, val in table.items())
-    if isinstance(x, BPoint):
-        # Large subspaces carry the most constraints, so most group elements
-        # fail on the first few.  Lines are skipped: a normalized functional
-        # on a line is (1,), whatever the point and g.
-        for d in range(x.n_plus_1, 1, -1):
-            for W in enumerate_subspaces(x.n_plus_1, d, x.ctx):
-                gW = W if d == x.n_plus_1 else g.apply_subspace(W)
-                coords = tuple(x.value(gW, g.apply(r)) for r in W.rows)
-                if normalize_functional(coords) != x.family[W]:
+        values = [apply_functional(x.coords, v) for v in index.vectors]
+        basis = index.row_ids[-1]  # the echelon rows of V, the standard basis
+
+        def test(g):
+            vperm = g.permutations()[0]
+            return functional_ratio(tuple(values[vperm[i]] for i in basis), x.coords) is not None
+
+    elif isinstance(x, QPoint):
+        values = [None] + [x.table[v] for v in index.vectors[1:]]  # id 0 is the zero vector
+        first = next(i for i, val in enumerate(values) if val)
+
+        def test(g):
+            vperm = g.permutations()[0]
+            lam = values[vperm[first]]
+            return all(values[vperm[i]] == lam * values[i] for i in range(1, len(values)))
+
+    elif isinstance(x, BPoint):
+        vector_id, subspace_id = index.vector_id, index.subspace_id
+        values = {
+            subspace_id[W]: {vector_id[v]: val for v, val in vals.items()}
+            for W, vals in _family_values(x.family, x.ctx).items()
+        }
+        checks = [
+            (subspace_id[W], index.row_ids[subspace_id[W]], x.family[W])
+            for d in range(x.n_plus_1, 1, -1)
+            for W in index.by_dim[d]
+        ]
+
+        def test(g):
+            vperm, sperm, _ = g.permutations()
+            for s, rows, func in checks:
+                image = values[sperm[s]]
+                if normalize_functional(tuple(image[vperm[r]] for r in rows)) != func:
                     return False
-        return True
-    raise TypeError(f"not a point: {x!r}")
+            return True
+
+    else:
+        raise TypeError(f"not a point: {x!r}")
+    return test
 
 
 # ---------------------------------------------------------------------------
@@ -236,17 +291,20 @@ def stabilizer_bruteforce(x, group=None):
 
     Each element is tested with fixes(x, g), which stops at the first
     mismatch instead of building x.g; nothing of the predicted route is
-    consulted.  The result is asserted to be a subgroup.
+    consulted.  The result is asserted to be a subgroup: every inverse and
+    every product, composed as line permutations, is a member.
     """
     if group is None:
         group = enumerate_pgl(x.n_plus_1, x.ctx)
-    stab = [g for g in group if fixes(x, g)]
-    members = set(stab)
-    for g in stab:
-        assert g.inverse() in members, "stabilizer not closed under inverse"
-        for h in stab:
-            assert g.compose(h) in members, "stabilizer not closed under product"
-    return sorted(members, key=GroupElement.sort_key)
+    fixes_x = _fixes_test(x)
+    stab = [g for g in group if fixes_x(g)]
+    members = {g.permutations()[2] for g in stab}
+    for a in members:
+        inverse = tuple(sorted(range(len(a)), key=a.__getitem__))
+        assert inverse in members, "stabilizer not closed under inverse"
+        for b in members:
+            assert tuple(a[i] for i in b) in members, "stabilizer not closed under product"
+    return sorted(set(stab), key=GroupElement.sort_key)
 
 
 def fixpoint_check_omega(coords, g_matrix_rows, ctx):
@@ -265,19 +323,21 @@ def fixpoint_check_omega(coords, g_matrix_rows, ctx):
     the point.  Test (i) does not involve g; _DenseCovector makes it once
     per covector and leaves test (ii) for each g.
     """
-    return _DenseCovector(coords, ctx).witness(list(zip(*g_matrix_rows)))
+    dense = _DenseCovector(coords, ctx)
+    vector_id = _subspace_order(len(coords), ctx).vector_id
+    return dense.witness([vector_id[col] for col in zip(*g_matrix_rows)])
 
 
 class _DenseCovector:
     """The g-independent half of fixpoint_check_omega for one covector l.
 
-    Built once: the density check, the twists l^(F^t) for t < s, and the
-    divisors d of s whose d-step twist span is closed (test (i)).
-    witness(cols) runs test (ii) for one g, given by the images of the
-    basis vectors.
+    Built once: the density check, the twists l^(F^t) for t < s with their
+    values at the vector ids of k^s, and the divisors d of s whose d-step
+    twist span is closed (test (i)).  witness(cols) runs test (ii) for one
+    g, given by the vector ids of the images of the basis vectors.
     """
 
-    __slots__ = ("ctx", "twists", "divisors")
+    __slots__ = ("ctx", "twists", "values", "divisors")
 
     def __init__(self, coords, ctx):
         s = len(coords)
@@ -297,6 +357,8 @@ class _DenseCovector:
                 closing.append(d)
         self.ctx = ctx
         self.twists = tuple(twists[:s])
+        vectors = _subspace_order(s, ctx).vectors
+        self.values = tuple(tuple(apply_functional(lt, v) for v in vectors) for lt in self.twists)
         self.divisors = tuple(closing)
 
     def witness(self, cols):
@@ -304,8 +366,8 @@ class _DenseCovector:
         ctx = self.ctx
         # ratios mu_t with l^(F^t) o g = mu_t * l^(F^t); all must exist and
         # follow mu_t = F^(-t)(mu_0)
-        for t, lt in enumerate(self.twists):
-            mu = functional_ratio(tuple(apply_functional(lt, col) for col in cols), lt)
+        for t, (lt, values) in enumerate(zip(self.twists, self.values)):
+            mu = functional_ratio(tuple(values[c] for c in cols), lt)
             if mu is None:
                 return None
             if t == 0:
@@ -326,29 +388,32 @@ class _QuotientBlock:
 
     coords is a functional on big's coordinate space vanishing on small.
     Built once per point: the complement of small in big's coordinates, the
-    projection of big's coordinates onto the complement coordinates, and
+    ids of its basis, a table from the id of each vector of big to the id in
+    k^s (s the complement's dimension) of its projection along small, and
     the _DenseCovector of the induced quotient covector.  Only call
     passes(g) for g leaving big (and small) invariant.
     """
 
-    __slots__ = ("pivots", "amb_basis", "projection", "dense")
+    __slots__ = ("basis_ids", "to_quotient", "dense")
 
     def __init__(self, big, small, coords, ctx):
         small_c, comp_c, by_coordinate = _quotient_projection(big, small, ctx)
-        self.pivots = big.pivots()
-        self.amb_basis = coords_to_ambient(big, comp_c.rows)
-        self.projection = tuple(zip(*by_coordinate))
+        index = _subspace_order(big.n_plus_1, ctx)
+        quotient_id = _subspace_order(comp_c.dim, ctx).vector_id
+        pivots = big.pivots()
+        projection = tuple(zip(*by_coordinate))
+        self.basis_ids = [index.vector_id[v] for v in coords_to_ambient(big, comp_c.rows)]
+        self.to_quotient = {}
+        for i in index.members[index.subspace_id[big]]:
+            in_big = tuple(index.vectors[i][p] for p in pivots)
+            self.to_quotient[i] = quotient_id[tuple(apply_functional(r, in_big) for r in projection)]
         _, lbar = quotient_functional(coords, small_c, ctx)
         self.dense = _DenseCovector(lbar, ctx)
 
     def induced_columns(self, g):
-        "Images of the complement basis under g, in complement coordinates."
-        cols = []
-        for amb in self.amb_basis:
-            img = g.apply(amb)
-            img_c = tuple(img[p] for p in self.pivots)
-            cols.append(tuple(apply_functional(row, img_c) for row in self.projection))
-        return cols
+        "Images of the complement basis under g, as vector ids of k^s."
+        vperm = g.permutations()[0]
+        return [self.to_quotient[vperm[i]] for i in self.basis_ids]
 
     def passes(self, g):
         return self.dense.witness(self.induced_columns(g)) is not None
@@ -389,11 +454,13 @@ def stabilizer_predicted(x, group=None):
     """
     if group is None:
         group = enumerate_pgl(x.n_plus_1, x.ctx)
-    invariant, blocks = _predicted_blocks(x)
+    members, blocks = _predicted_blocks(x)
+    subspace_id = _subspace_order(x.n_plus_1, x.ctx).subspace_id
+    invariant = [subspace_id[m] for m in members]
     out = []
     for g in group:
-        # g is invertible, so g(m) inside m already means g(m) = m
-        if not all(m.contains_vector(g.apply(r)) for m in invariant for r in m.rows):
+        sperm = g.permutations()[1]
+        if any(sperm[s] != s for s in invariant):
             continue
         if all(block.passes(g) for block in blocks):
             out.append(g)

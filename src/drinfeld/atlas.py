@@ -15,9 +15,10 @@ import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from itertools import combinations
 
 from .field import FieldCtx
-from .linalg import _subspace_order, all_subspaces, enumerate_flags, flag_leq, gaussian_binomial
+from .linalg import _subspace_order, all_subspaces, enumerate_flags, gaussian_binomial
 from .points import (
     _nonzero_subspace_count,
     b_classify,
@@ -91,8 +92,15 @@ def _dim_index(variety, node, n_plus_1):
 def _closure_pairs(variety, nodes, n_plus_1, ctx):
     "Irreflexive pairs (a, b) with stratum b inside the closure of stratum a."
     if variety == "B":
-        return [(a, b) for a in nodes for b in nodes if a != b and flag_leq(a, b)]
-    above = _subspace_order(n_plus_1, ctx)[1]
+        # a < b iff a's members are a proper sub-chain of b's
+        by_members = {f.members: f for f in nodes}
+        return [
+            (by_members[sub], b)
+            for b in nodes
+            for r in range(len(b.members))
+            for sub in combinations(b.members, r)
+        ]
+    above = _subspace_order(n_plus_1, ctx).above
     if variety == "P":
         return [(a, b) for a in nodes for b in above[a] if b.dim < n_plus_1]
     return [(a, b) for b in nodes for a in above[b]]
@@ -120,7 +128,7 @@ def _variety_total(variety, n_plus_1, q, m):
 
 def _check_desk_scale(variety, n_plus_1, q, m_list):
     """ValueError, before anything is built, for too many strata (subspaces, or flags
-    for B, whose closure order is built pair by pair) or points over some k_m."""
+    for B) or points over some k_m."""
     if variety == "B":
         strata = _chain_sum(n_plus_1, q, lambda d: 1)
     else:
@@ -281,15 +289,14 @@ def build_atlas(variety, n_plus_1, ctx, m_list, jobs=1, cache_dir=None):
 
 
 def transitive_reduction(nodes, pairs):
-    "Cover pairs of a finite partial order given as irreflexive pairs."
-    pairset = set(pairs)
-    keys = [k for k, _ in nodes]
-    covers = []
+    """Cover pairs of a finite partial order given as irreflexive pairs
+    between the keys of nodes: (a, b) is kept iff no c has (a, c) and (c, b)."""
+    succ = {k: set() for k, _ in nodes}
+    pred = {k: set() for k, _ in nodes}
     for a, b in pairs:
-        if any((a, c) in pairset and (c, b) in pairset for c in keys):
-            continue
-        covers.append((a, b))
-    return covers
+        succ[a].add(b)
+        pred[b].add(a)
+    return [(a, b) for a, b in pairs if succ[a].isdisjoint(pred[b])]
 
 
 def atlas_to_obj(atlas):

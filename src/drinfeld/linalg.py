@@ -6,6 +6,7 @@ subspace is hashable.  Flags are strictly increasing chains of proper nonzero
 subspaces, ordered ascending (smallest member first).
 """
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -309,10 +310,24 @@ def gaussian_binomial(n, d, q):
     return num // den
 
 
+_RationalIndex = namedtuple(
+    "_RationalIndex",
+    "by_dim above vectors vector_id subspace_id members bits by_bits row_ids",
+)
+
+
 @lru_cache(maxsize=None)
 def _subspace_order(n_plus_1, ctx):
-    """(by_dim, above): the d-dimensional subspaces of k^(n+1), canonical and
-    sorted, for each d; and each subspace's strict superspaces, in that order.
+    """The k-rational structure of V = k^(n+1) as ints, a _RationalIndex:
+
+    by_dim[d]: the d-dimensional subspaces, canonical and sorted; above[W]:
+    W's strict superspaces, in that order.  vectors: all of V in canonical
+    order, zero first; a vector's id is its position (vector_id).  A
+    subspace's id is its position in by_dim read in order (subspace_id):
+    the zero space is 0, the lines 1 .. len(by_dim[1]), V last.
+    members[s] and bits[s]: the ids of subspace s's vectors, and the int
+    with those bits set (by_bits inverts it); row_ids[s]: the ids of its
+    echelon rows.
 
     Echelon parametrisation: choose pivot columns, then fill every entry
     that sits right of its row's pivot and is not itself a pivot column.
@@ -336,36 +351,45 @@ def _subspace_order(n_plus_1, ctx):
                 subs.append(Subspace(n_plus_1, tuple(tuple(r) for r in rows)))
         subs.sort(key=Subspace.sort_key)
         by_dim.append(tuple(subs))
-    # a < b iff every echelon row of a is a vector of b; the vector sets
-    # live only while the order is built
-    vectors = {b: frozenset(b.vectors(ctx)) for subs in by_dim for b in subs}
+    vectors = tuple(sorted(product(k_els, repeat=n_plus_1), key=vec_key))
+    vector_id = {v: i for i, v in enumerate(vectors)}
+    subspaces = [W for subs in by_dim for W in subs]
+    members = tuple(tuple(vector_id[v] for v in W.vectors(ctx)) for W in subspaces)
+    bits = tuple(sum(1 << i for i in m) for m in members)
+    # a < b iff the vector set of a lies in that of b
     above = {
         a: tuple(
-            b for b in vectors if b.dim > a.dim and all(r in vectors[b] for r in a.rows)
+            b for b, b_bits in zip(subspaces, bits) if b.dim > a.dim and a_bits & ~b_bits == 0
         )
-        for a in vectors
+        for a, a_bits in zip(subspaces, bits)
     }
-    return tuple(by_dim), above
+    subspace_id = {W: s for s, W in enumerate(subspaces)}
+    by_bits = {b: s for s, b in enumerate(bits)}
+    row_ids = tuple(tuple(vector_id[r] for r in W.rows) for W in subspaces)
+    return _RationalIndex(
+        tuple(by_dim), above, vectors, vector_id, subspace_id, members, bits, by_bits, row_ids
+    )
 
 
 def enumerate_subspaces(n_plus_1, d, ctx):
     "All d-dimensional k-subspaces of k^(n+1), canonical and sorted."
     if d < 0 or d > n_plus_1:
         raise ValueError(f"dimension {d} out of range")
-    return list(_subspace_order(n_plus_1, ctx)[0][d])
+    return list(_subspace_order(n_plus_1, ctx).by_dim[d])
 
 
 def all_subspaces(n_plus_1, ctx, include_zero=True, include_full=True):
     lo = 0 if include_zero else 1
     hi = n_plus_1 if include_full else n_plus_1 - 1
-    by_dim = _subspace_order(n_plus_1, ctx)[0]
+    by_dim = _subspace_order(n_plus_1, ctx).by_dim
     return [W for d in range(lo, hi + 1) for W in by_dim[d]]
 
 
 def enumerate_flags(n_plus_1, ctx):
     """All flags of k^(n+1): strictly increasing chains of proper nonzero
     subspaces, the empty chain included.  Deterministic order."""
-    by_dim, above = _subspace_order(n_plus_1, ctx)
+    index = _subspace_order(n_plus_1, ctx)
+    by_dim, above = index.by_dim, index.above
     chains = [()]
     grow = [(s,) for subs in by_dim[1:n_plus_1] for s in subs]
     while grow:

@@ -410,7 +410,8 @@ def _nested_pairs(family, ctx):
     """Every (W', W) with W' < W among the family's subspaces, which are all
     the nonzero subspaces of V: W' in canonical order, then W."""
     n_plus_1 = next(iter(family)).n_plus_1
-    by_dim, above = _subspace_order(n_plus_1, ctx)
+    index = _subspace_order(n_plus_1, ctx)
+    by_dim, above = index.by_dim, index.above
     return ((small, big) for subs in by_dim[1:] for small in subs for big in above[small])
 
 
@@ -493,7 +494,7 @@ def b_classify(x):
     """
     chain = _kernel_chain(x)
     flag = Flag(x.n_plus_1, tuple(reversed(chain)))
-    above = _subspace_order(x.n_plus_1, x.ctx)[1]
+    above = _subspace_order(x.n_plus_1, x.ctx).above
     divisors = {
         cand
         for cand in x.family
@@ -539,7 +540,7 @@ def b_from_flag_data(flag, parts, ctx):
             tuple(apply_functional(part, row) for row in by_coordinate)
         )
     family = {}
-    above = _subspace_order(n_plus_1, ctx)[1]
+    above = _subspace_order(n_plus_1, ctx).above
     for W in all_subspaces(n_plus_1, ctx, include_zero=False):
         t = 0
         while chain[t + 1] == W or chain[t + 1] in above[W]:

@@ -140,15 +140,15 @@ def test_fixpoint_check_requires_dense_point(ctx64, omega4):
 
 
 def test_fixes_agrees_with_acting(ctx64, ctx729):
-    # the early-exit test against its slow oracle, building x.g in full
-    cases = [(ctx64, 3, 1)] + [(ctx729, 2, m) for m in (1, 2)]
-    for ctx, n_plus_1, m in cases:
+    # the early-exit test against its slow oracle, building x.g in full;
+    # P and Q at (2, 3, 3) are where the d = 3 branch fires
+    enumerate_kind = {"P": p_enumerate, "Q": q_enumerate, "B": b_enumerate}
+    cases = (
+        [(ctx64, 3, 1, "PQB")] + [(ctx729, 2, m, "PQB") for m in (1, 2)] + [(ctx64, 3, 3, "PQ")]
+    )
+    for ctx, n_plus_1, m, kinds in cases:
         group = enumerate_pgl(n_plus_1, ctx)
-        points = (
-            p_enumerate(ctx, n_plus_1, m)
-            + q_enumerate(ctx, n_plus_1, m)
-            + b_enumerate(ctx, n_plus_1, m)
-        )
+        points = [x for kind in kinds for x in enumerate_kind[kind](ctx, n_plus_1, m)]
         for x in points:
             for g in group:
                 assert fixes(x, g) == (act(x, g) == x)

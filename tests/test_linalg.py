@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -17,6 +18,7 @@ from drinfeld import (
     rational_kernel,
     rref,
 )
+from drinfeld.action import GroupElement, enumerate_pgl
 from drinfeld.linalg import _subspace_order, apply_functional, normalize_functional
 
 
@@ -176,8 +178,21 @@ def test_subspace_order_against_direct_containment(ctx64, ctx729):
     ):
         subs = all_subspaces(n_plus_1, ctx)
         assert subs == sorted(subs, key=Subspace.sort_key)
-        _, above = _subspace_order(n_plus_1, ctx)
+        index = _subspace_order(n_plus_1, ctx)
+        above = index.above
         assert list(above) == subs
+        # the ids: vectors in canonical order, subspaces in the order above
+        vectors = sorted(product(ctx.k_elements, repeat=n_plus_1), key=lambda v: [a.code for a in v])
+        assert list(index.vectors) == vectors
+        assert all(index.vector_id[v] == i for i, v in enumerate(vectors))
+        assert list(index.subspace_id) == subs
+        assert all(index.subspace_id[W] == s for s, W in enumerate(subs))
+        for s, W in enumerate(subs):
+            inside = [i for i, v in enumerate(vectors) if W.contains_vector(v)]
+            assert sorted(index.members[s]) == inside
+            assert index.bits[s] == sum(1 << i for i in inside)
+            assert index.by_bits[index.bits[s]] == s
+            assert [vectors[i] for i in index.row_ids[s]] == list(W.rows)
         for a in subs:
             assert list(above[a]) == [
                 b for b in subs if b.dim > a.dim and b.contains(a)
@@ -194,6 +209,44 @@ def test_subspace_order_against_direct_containment(ctx64, ctx729):
             chains = chains + grow
         flags = sorted((Flag(n_plus_1, c) for c in chains), key=Flag.sort_key)
         assert enumerate_flags(n_plus_1, ctx) == flags
+
+
+def _order_by_matrix_powers(g):
+    "The order of g in PGL by multiplying matrices until the identity."
+    identity = GroupElement.identity(g.n_plus_1, g.ctx)
+    power, n = g, 1
+    while power != identity:
+        power = power.compose(g)
+        n += 1
+    return n
+
+
+def test_group_permutations_against_matrices(ctx64, ctx729):
+    """Slow oracle for the permutations of group elements: g.apply and
+    g.apply_subspace on every vector and subspace, composition and the
+    order by matrix products."""
+    ctx4 = context_for(2, 2, 2, [1, 2])  # k = GF(4)
+    rng = random.Random(0)
+    for ctx, n_plus_1 in ((ctx64, 3), (ctx729, 2), (ctx4, 2)):
+        index = _subspace_order(n_plus_1, ctx)
+        subs = all_subspaces(n_plus_1, ctx)
+        lines = enumerate_subspaces(n_plus_1, 1, ctx)
+        group = enumerate_pgl(n_plus_1, ctx)
+        for g in group:
+            vperm, sperm, lperm = g.permutations()
+            assert [index.vectors[i] for i in vperm] == [g.apply(v) for v in index.vectors]
+            assert [subs[s] for s in sperm] == [g.apply_subspace(W) for W in subs]
+            assert [lines[j] for j in lperm] == [g.apply_subspace(L) for L in lines]
+            assert g.order() == _order_by_matrix_powers(g)
+        assert len({g.permutations()[2] for g in group}) == len(group)
+        for g, h in (rng.sample(group, 2) for _ in range(200)):
+            # vectors are left out: the product's representative may differ
+            # from the product of the representatives by a scalar
+            _, gh_subs, gh_lines = g.compose(h).permutations()
+            _, g_subs, g_lines = g.permutations()
+            _, h_subs, h_lines = h.permutations()
+            assert gh_subs == tuple(g_subs[s] for s in h_subs)
+            assert gh_lines == tuple(g_lines[j] for j in h_lines)
 
 
 def test_flag_refinement_order(ctx64):
