@@ -7,16 +7,11 @@ compared: once by sheer brute force over the whole group, and once through
 the block-triangular description, whose diagonal blocks act as Galois-twisted
 scalars on the twist span of a dense quotient point (fixpoint_check_omega).
 
-Both routes read a group element as its permutations of the vector,
-subspace and line ids of linalg._subspace_order.  Brute force asks
-fixes(x, g) of every g: lookups of the point's values at permuted vector
-ids, stopping at the first mismatch; its subgroup check and
-GroupElement.order compose line permutations.  The predicted route builds
-all that depends only on the point once per call, looks up the flag's
-invariance in the subspace permutation, and reads each block's quotient
-coordinates and twist values by vector id.  act, act_P/Q/B, apply,
-apply_subspace, compose and inverse stay on matrices: they are the slow
-oracle that the tests and verify compare the permutations with.
+Brute force asks fixes(x, g) of every g, which answers act(x, g) == x
+without building the moved point and stops at the first mismatch.  All
+but the P test read g through g.action(), its images of the lines and
+subspaces of V found from the matrix on first use.  act, apply, compose and
+inverse stay on matrices as the oracle the tests compare that with.
 """
 
 import math
@@ -40,7 +35,6 @@ from .points import (
     BPoint,
     PPoint,
     QPoint,
-    _family_values,
     _quotient_projection,
     b_classify,
     p_classify,
@@ -53,7 +47,7 @@ class GroupElement:
     """An element of PGL(n+1, k): an invertible matrix over k, scaled so the
     first nonzero entry in row-major order is 1."""
 
-    __slots__ = ("ctx", "matrix", "_hash", "_perms")
+    __slots__ = ("ctx", "matrix", "_hash")
 
     def __init__(self, ctx, matrix):
         matrix = tuple(tuple(r) for r in matrix)
@@ -64,7 +58,6 @@ class GroupElement:
         self.ctx = ctx
         self.matrix = matrix
         self._hash = hash(tuple(tuple(a.code for a in r) for r in matrix))
-        self._perms = None
 
     @classmethod
     def identity(cls, n_plus_1, ctx):
@@ -105,25 +98,14 @@ class GroupElement:
             raise ValueError("matrix not invertible")
         return GroupElement(ctx, [r[n:] for r in ech])
 
-    def permutations(self):
-        """(vector, subspace, line): g as permutations of the ids of
-        _subspace_order(n+1, ctx), built on first use and kept.  The vector
-        one is read through this representative; the line one, numbered
-        from 0, is faithful on PGL, so it stands in for g in products,
-        inverses and membership."""
-        if self._perms is None:
-            index = _subspace_order(self.n_plus_1, self.ctx)
-            vector_id, by_bits = index.vector_id, index.by_bits
-            vperm = tuple(vector_id[self.apply(v)] for v in index.vectors)
-            sperm = tuple(by_bits[sum(1 << vperm[i] for i in m)] for m in index.members)
-            # the lines are the subspaces with ids 1 .. len(by_dim[1])
-            lperm = tuple(s - 1 for s in sperm[1 : 1 + len(index.by_dim[1])])
-            self._perms = (vperm, sperm, lperm)
-        return self._perms
+    @lru_cache(maxsize=1 << 13)
+    def action(self):
+        "g's _Action, in a bounded cache: a large group's images are not kept."
+        return _Action(self)
 
     def order(self):
         "The order in PGL: the lcm of the cycle lengths of the line permutation."
-        perm, n = self.permutations()[2], 1
+        perm, n = self.action().permutation(), 1
         for start in range(len(perm)):
             length, i = 1, perm[start]
             while i != start:
@@ -148,6 +130,37 @@ class GroupElement:
 
     def __repr__(self):
         return f"GroupElement({self.matrix})"
+
+
+class _Action:
+    """g on the ids of _subspace_order(n+1, ctx).  line(j) is (j', mu) with
+    g(u_j) = mu * u_j', u_j the normalized vector spanning line j, found from
+    the matrix on first use and kept; subspace(s) is the id of g(W_s).  The
+    line permutation is faithful on PGL, so it stands in for g in products,
+    inverses and membership."""
+
+    __slots__ = ("g", "index", "_lines")
+
+    def __init__(self, g):
+        self.g, self.index = g, _subspace_order(g.n_plus_1, g.ctx)
+        self._lines = [None] * len(self.index.lines)
+
+    def line(self, j):
+        image = self._lines[j]
+        if image is None:
+            w = self.g.apply(self.index.lines[j])
+            mu = next(a for a in w if a)
+            image = self._lines[j] = (self.index.line_id[normalize_functional(w)], mu)
+        return image
+
+    def subspace(self, s):
+        members = self.index.line_members[s]
+        if len(members) in (0, len(self._lines)):
+            return s  # every element fixes the zero space and V
+        return self.index.by_lines[sum(1 << self.line(j)[0] for j in members)]
+
+    def permutation(self):
+        return tuple(self.line(j)[0] for j in range(len(self._lines)))
 
 
 def pgl_order(n_plus_1, q):
@@ -225,55 +238,60 @@ def fixes(x, g):
     """Exactly act(x, g) == x, without building act(x, g).
 
     Each kind compares x.g with x piece by piece and stops at the first
-    piece that differs: the covector up to scale (P), the table against
-    lam * r with lam = r(g(v0)) at the vector v0 where r is normalized to 1
-    (Q), and the family subspace by subspace, largest first (B).
+    piece that differs: l o g with l up to scale, read on the columns of g
+    (P); r o g with lam * r on the vector spanning each line, which by the
+    scaling axiom r(c v) = r(v) / c compares them on every vector (Q); and
+    the family subspace by subspace, largest first (B).
     """
     return _fixes_test(x)(g)
 
 
 def _fixes_test(x):
-    """fixes(x, .) as a test of g's permutations against x's values at the
-    vector ids, built here once: l on every vector (P), the table (Q), and
-    each l_W on the vectors of W (B).  For B the subspaces of dimension at
-    least 2 are compared, largest first: they carry the most constraints,
-    so most group elements fail on the first few; on a line a normalized
-    functional is (1,), whatever the point and g."""
+    """fixes(x, .), with what depends only on x built once.  For B the large
+    subspaces carry the most constraints, so most group elements fail on the
+    first few; lines are skipped, as a normalized functional on a line is
+    (1,), whatever the point and g."""
     index = _subspace_order(x.n_plus_1, x.ctx)
     if isinstance(x, PPoint):
-        values = [apply_functional(x.coords, v) for v in index.vectors]
-        basis = index.row_ids[-1]  # the echelon rows of V, the standard basis
+        vectors = product(x.ctx.k_elements, repeat=x.n_plus_1)
+        values = {v: apply_functional(x.coords, v) for v in vectors}
 
         def test(g):
-            vperm = g.permutations()[0]
-            return functional_ratio(tuple(values[vperm[i]] for i in basis), x.coords) is not None
+            pulled = tuple(values[col] for col in zip(*g.matrix))
+            return functional_ratio(pulled, x.coords) is not None
 
     elif isinstance(x, QPoint):
-        values = [None] + [x.table[v] for v in index.vectors[1:]]  # id 0 is the zero vector
-        first = next(i for i, val in enumerate(values) if val)
+        values = [x.table[u] for u in index.lines]
+        first = next(j for j, val in enumerate(values) if val)
 
         def test(g):
-            vperm = g.permutations()[0]
-            lam = values[vperm[first]]
-            return all(values[vperm[i]] == lam * values[i] for i in range(1, len(values)))
+            # r(g(u_j)) = r(mu * u_j') = r(u_j') / mu must be lam * r(u_j)
+            action = g.action()
+            image, mu = action.line(first)
+            lam = values[image] * (mu * values[first]).inverse()
+            for j, val in enumerate(values):
+                image, mu = action.line(j)
+                if values[image] != lam * mu * val:
+                    return False
+            return True
 
     elif isinstance(x, BPoint):
-        vector_id, subspace_id = index.vector_id, index.subspace_id
-        values = {
-            subspace_id[W]: {vector_id[v]: val for v, val in vals.items()}
-            for W, vals in _family_values(x.family, x.ctx).items()
-        }
-        checks = [
-            (subspace_id[W], index.row_ids[subspace_id[W]], x.family[W])
-            for d in range(x.n_plus_1, 1, -1)
-            for W in index.by_dim[d]
-        ]
+        values, checks = {}, []  # l_W on the lines of W; W's rows as lines
+        for W in (W for subs in index.by_dim[:1:-1] for W in subs):
+            s, pivots = index.subspace_id[W], W.pivots()
+            values[s] = {
+                j: apply_functional(x.family[W], tuple(index.lines[j][p] for p in pivots))
+                for j in index.line_members[s]
+            }
+            checks.append((s, [index.line_id[r] for r in W.rows], x.family[W]))
 
         def test(g):
-            vperm, sperm, _ = g.permutations()
+            # l_{g(W)}(g(r)) = mu * l_{g(W)}(u_j') for g(r) = mu * u_j'
+            action = g.action()
             for s, rows, func in checks:
-                image = values[sperm[s]]
-                if normalize_functional(tuple(image[vperm[r]] for r in rows)) != func:
+                image = values[action.subspace(s)]
+                pulled = [mu * image[j] for j, mu in map(action.line, rows)]
+                if normalize_functional(pulled) != func:
                     return False
             return True
 
@@ -291,14 +309,12 @@ def stabilizer_bruteforce(x, group=None):
 
     Each element is tested with fixes(x, g), which stops at the first
     mismatch instead of building x.g; nothing of the predicted route is
-    consulted.  The result is asserted to be a subgroup: every inverse and
-    every product, composed as line permutations, is a member.
+    consulted.  The result is asserted to be a subgroup, on line permutations.
     """
     if group is None:
         group = enumerate_pgl(x.n_plus_1, x.ctx)
-    fixes_x = _fixes_test(x)
-    stab = [g for g in group if fixes_x(g)]
-    members = {g.permutations()[2] for g in stab}
+    stab = list(filter(_fixes_test(x), group))
+    members = {g.action().permutation() for g in stab}
     for a in members:
         inverse = tuple(sorted(range(len(a)), key=a.__getitem__))
         assert inverse in members, "stabilizer not closed under inverse"
@@ -323,21 +339,19 @@ def fixpoint_check_omega(coords, g_matrix_rows, ctx):
     the point.  Test (i) does not involve g; _DenseCovector makes it once
     per covector and leaves test (ii) for each g.
     """
-    dense = _DenseCovector(coords, ctx)
-    vector_id = _subspace_order(len(coords), ctx).vector_id
-    return dense.witness([vector_id[col] for col in zip(*g_matrix_rows)])
+    return _DenseCovector(coords, ctx).witness(list(zip(*g_matrix_rows)))
 
 
 class _DenseCovector:
     """The g-independent half of fixpoint_check_omega for one covector l.
 
-    Built once: the density check, the twists l^(F^t) for t < s with their
-    values at the vector ids of k^s, and the divisors d of s whose d-step
-    twist span is closed (test (i)).  witness(cols) runs test (ii) for one
-    g, given by the vector ids of the images of the basis vectors.
+    Built once: the density check, the twists l^(F^t) for t < s, and the
+    divisors d of s whose d-step twist span is closed (test (i)).
+    witness(cols) runs test (ii) for one g, given by the images of the
+    basis vectors.
     """
 
-    __slots__ = ("ctx", "twists", "values", "divisors")
+    __slots__ = ("ctx", "twists", "divisors")
 
     def __init__(self, coords, ctx):
         s = len(coords)
@@ -357,8 +371,6 @@ class _DenseCovector:
                 closing.append(d)
         self.ctx = ctx
         self.twists = tuple(twists[:s])
-        vectors = _subspace_order(s, ctx).vectors
-        self.values = tuple(tuple(apply_functional(lt, v) for v in vectors) for lt in self.twists)
         self.divisors = tuple(closing)
 
     def witness(self, cols):
@@ -366,8 +378,8 @@ class _DenseCovector:
         ctx = self.ctx
         # ratios mu_t with l^(F^t) o g = mu_t * l^(F^t); all must exist and
         # follow mu_t = F^(-t)(mu_0)
-        for t, (lt, values) in enumerate(zip(self.twists, self.values)):
-            mu = functional_ratio(tuple(values[c] for c in cols), lt)
+        for t, lt in enumerate(self.twists):
+            mu = functional_ratio(tuple(apply_functional(lt, col) for col in cols), lt)
             if mu is None:
                 return None
             if t == 0:
@@ -387,33 +399,37 @@ class _QuotientBlock:
     whether the induced map fixes the attached dense quotient point.
 
     coords is a functional on big's coordinate space vanishing on small.
-    Built once per point: the complement of small in big's coordinates, the
-    ids of its basis, a table from the id of each vector of big to the id in
-    k^s (s the complement's dimension) of its projection along small, and
-    the _DenseCovector of the induced quotient covector.  Only call
+    Built once per point: a basis of the complement of small in big's
+    coordinates, each vector as (line, scalar), the projection of big's
+    lines onto the complement coordinates, and the _DenseCovector of the
+    induced quotient covector.  Only call
     passes(g) for g leaving big (and small) invariant.
     """
 
-    __slots__ = ("basis_ids", "to_quotient", "dense")
+    __slots__ = ("basis", "to_quotient", "dense")
 
     def __init__(self, big, small, coords, ctx):
         small_c, comp_c, by_coordinate = _quotient_projection(big, small, ctx)
         index = _subspace_order(big.n_plus_1, ctx)
-        quotient_id = _subspace_order(comp_c.dim, ctx).vector_id
-        pivots = big.pivots()
-        projection = tuple(zip(*by_coordinate))
-        self.basis_ids = [index.vector_id[v] for v in coords_to_ambient(big, comp_c.rows)]
-        self.to_quotient = {}
-        for i in index.members[index.subspace_id[big]]:
-            in_big = tuple(index.vectors[i][p] for p in pivots)
-            self.to_quotient[i] = quotient_id[tuple(apply_functional(r, in_big) for r in projection)]
+        self.basis = [
+            (index.line_id[normalize_functional(b)], next(a for a in b if a))
+            for b in coords_to_ambient(big, comp_c.rows)
+        ]
+        self.to_quotient = {
+            j: tuple(apply_functional(r, [index.lines[j][p] for p in big.pivots()])
+                     for r in zip(*by_coordinate))
+            for j in index.line_members[index.subspace_id[big]]
+        }
         _, lbar = quotient_functional(coords, small_c, ctx)
         self.dense = _DenseCovector(lbar, ctx)
 
     def induced_columns(self, g):
-        "Images of the complement basis under g, as vector ids of k^s."
-        vperm = g.permutations()[0]
-        return [self.to_quotient[vperm[i]] for i in self.basis_ids]
+        "Images of the complement basis under g, in complement coordinates."
+        cols = []
+        for j, c in self.basis:
+            image, mu = g.action().line(j)
+            cols.append(tuple(c * mu * a for a in self.to_quotient[image]))
+        return cols
 
     def passes(self, g):
         return self.dense.witness(self.induced_columns(g)) is not None
@@ -421,7 +437,7 @@ class _QuotientBlock:
 
 def _predicted_blocks(x):
     """The invariance constraints and quotient blocks of the block-triangular
-    stabilizer description: the members of the stratum flag, and blocks on
+    stabilizer description: the ids of the stratum flag's members, and blocks on
     its chain (P the top one, Q the bottom one, B every one)."""
     ctx = x.ctx
     flag = stratum_flag(x)
@@ -440,7 +456,7 @@ def _predicted_blocks(x):
             _QuotientBlock(chain[t], chain[t + 1], x.family[chain[t]], ctx)
             for t in range(len(chain) - 1)
         ]
-    return flag.members, blocks
+    return [_subspace_order(x.n_plus_1, ctx).subspace_id[m] for m in flag.members], blocks
 
 
 def stabilizer_predicted(x, group=None):
@@ -454,13 +470,10 @@ def stabilizer_predicted(x, group=None):
     """
     if group is None:
         group = enumerate_pgl(x.n_plus_1, x.ctx)
-    members, blocks = _predicted_blocks(x)
-    subspace_id = _subspace_order(x.n_plus_1, x.ctx).subspace_id
-    invariant = [subspace_id[m] for m in members]
+    invariant, blocks = _predicted_blocks(x)
     out = []
     for g in group:
-        sperm = g.permutations()[1]
-        if any(sperm[s] != s for s in invariant):
+        if any(g.action().subspace(s) != s for s in invariant):
             continue
         if all(block.passes(g) for block in blocks):
             out.append(g)

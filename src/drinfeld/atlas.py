@@ -92,14 +92,9 @@ def _dim_index(variety, node, n_plus_1):
 def _closure_pairs(variety, nodes, n_plus_1, ctx):
     "Irreflexive pairs (a, b) with stratum b inside the closure of stratum a."
     if variety == "B":
-        # a < b iff a's members are a proper sub-chain of b's
-        by_members = {f.members: f for f in nodes}
-        return [
-            (by_members[sub], b)
-            for b in nodes
-            for r in range(len(b.members))
-            for sub in combinations(b.members, r)
-        ]
+        flag = {f.members: f for f in nodes}  # a < b iff a's members are a proper sub-chain of b's
+        return [(flag[c], b) for b in nodes for r in range(len(b.members))
+                for c in combinations(b.members, r)]
     above = _subspace_order(n_plus_1, ctx).above
     if variety == "P":
         return [(a, b) for a in nodes for b in above[a] if b.dim < n_plus_1]

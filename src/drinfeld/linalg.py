@@ -311,23 +311,17 @@ def gaussian_binomial(n, d, q):
 
 
 _RationalIndex = namedtuple(
-    "_RationalIndex",
-    "by_dim above vectors vector_id subspace_id members bits by_bits row_ids",
+    "_RationalIndex", "by_dim above subspace_id lines line_id line_members by_lines"
 )
 
 
 @lru_cache(maxsize=None)
 def _subspace_order(n_plus_1, ctx):
-    """The k-rational structure of V = k^(n+1) as ints, a _RationalIndex:
-
-    by_dim[d]: the d-dimensional subspaces, canonical and sorted; above[W]:
-    W's strict superspaces, in that order.  vectors: all of V in canonical
-    order, zero first; a vector's id is its position (vector_id).  A
-    subspace's id is its position in by_dim read in order (subspace_id):
-    the zero space is 0, the lines 1 .. len(by_dim[1]), V last.
-    members[s] and bits[s]: the ids of subspace s's vectors, and the int
-    with those bits set (by_bits inverts it); row_ids[s]: the ids of its
-    echelon rows.
+    """The subspaces of k^(n+1) as a _RationalIndex: by_dim[d] the d-dimensional
+    ones, canonical and sorted; above[W] W's strict superspaces in that order;
+    subspace_id[W] W's position in by_dim read in order.  Line j (in by_dim[1]'s
+    order) is spanned by the normalized lines[j] (line_id inverts it), and
+    line_members[s] lists the lines in subspace s; by_lines inverts their bitset.
 
     Echelon parametrisation: choose pivot columns, then fill every entry
     that sits right of its row's pivot and is not itself a pivot column.
@@ -351,23 +345,23 @@ def _subspace_order(n_plus_1, ctx):
                 subs.append(Subspace(n_plus_1, tuple(tuple(r) for r in rows)))
         subs.sort(key=Subspace.sort_key)
         by_dim.append(tuple(subs))
-    vectors = tuple(sorted(product(k_els, repeat=n_plus_1), key=vec_key))
-    vector_id = {v: i for i, v in enumerate(vectors)}
+    # an echelon row is normalized: its first nonzero entry is its pivot, 1
+    lines = tuple(L.rows[0] for L in by_dim[1])
     subspaces = [W for subs in by_dim for W in subs]
-    members = tuple(tuple(vector_id[v] for v in W.vectors(ctx)) for W in subspaces)
-    bits = tuple(sum(1 << i for i in m) for m in members)
-    # a < b iff the vector set of a lies in that of b
+    line_members = tuple(
+        tuple(j for j, u in enumerate(lines) if W.contains_vector(u)) for W in subspaces
+    )
+    # a subspace is the span of its lines, so a < b iff a's lines are b's
+    bits = [sum(1 << j for j in m) for m in line_members]
     above = {
         a: tuple(
             b for b, b_bits in zip(subspaces, bits) if b.dim > a.dim and a_bits & ~b_bits == 0
         )
         for a, a_bits in zip(subspaces, bits)
     }
-    subspace_id = {W: s for s, W in enumerate(subspaces)}
-    by_bits = {b: s for s, b in enumerate(bits)}
-    row_ids = tuple(tuple(vector_id[r] for r in W.rows) for W in subspaces)
     return _RationalIndex(
-        tuple(by_dim), above, vectors, vector_id, subspace_id, members, bits, by_bits, row_ids
+        tuple(by_dim), above, {W: s for s, W in enumerate(subspaces)}, lines,
+        {u: j for j, u in enumerate(lines)}, line_members, {b: s for s, b in enumerate(bits)},
     )
 
 
@@ -388,8 +382,7 @@ def all_subspaces(n_plus_1, ctx, include_zero=True, include_full=True):
 def enumerate_flags(n_plus_1, ctx):
     """All flags of k^(n+1): strictly increasing chains of proper nonzero
     subspaces, the empty chain included.  Deterministic order."""
-    index = _subspace_order(n_plus_1, ctx)
-    by_dim, above = index.by_dim, index.above
+    by_dim, above = _subspace_order(n_plus_1, ctx)[:2]
     chains = [()]
     grow = [(s,) for subs in by_dim[1:n_plus_1] for s in subs]
     while grow:

@@ -410,8 +410,7 @@ def _nested_pairs(family, ctx):
     """Every (W', W) with W' < W among the family's subspaces, which are all
     the nonzero subspaces of V: W' in canonical order, then W."""
     n_plus_1 = next(iter(family)).n_plus_1
-    index = _subspace_order(n_plus_1, ctx)
-    by_dim, above = index.by_dim, index.above
+    by_dim, above = _subspace_order(n_plus_1, ctx)[:2]
     return ((small, big) for subs in by_dim[1:] for small in subs for big in above[small])
 
 

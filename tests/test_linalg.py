@@ -181,18 +181,16 @@ def test_subspace_order_against_direct_containment(ctx64, ctx729):
         index = _subspace_order(n_plus_1, ctx)
         above = index.above
         assert list(above) == subs
-        # the ids: vectors in canonical order, subspaces in the order above
-        vectors = sorted(product(ctx.k_elements, repeat=n_plus_1), key=lambda v: [a.code for a in v])
-        assert list(index.vectors) == vectors
-        assert all(index.vector_id[v] == i for i, v in enumerate(vectors))
+        # the ids: subspaces in the order above, lines in their own order
         assert list(index.subspace_id) == subs
         assert all(index.subspace_id[W] == s for s, W in enumerate(subs))
+        lines = enumerate_subspaces(n_plus_1, 1, ctx)
+        assert list(index.lines) == [L.rows[0] for L in lines]
+        assert all(index.line_id[u] == j for j, u in enumerate(index.lines))
         for s, W in enumerate(subs):
-            inside = [i for i, v in enumerate(vectors) if W.contains_vector(v)]
-            assert sorted(index.members[s]) == inside
-            assert index.bits[s] == sum(1 << i for i in inside)
-            assert index.by_bits[index.bits[s]] == s
-            assert [vectors[i] for i in index.row_ids[s]] == list(W.rows)
+            inside = [j for j, L in enumerate(lines) if W.contains(L)]
+            assert list(index.line_members[s]) == inside
+            assert index.by_lines[sum(1 << j for j in inside)] == s
         for a in subs:
             assert list(above[a]) == [
                 b for b in subs if b.dim > a.dim and b.contains(a)
@@ -221,32 +219,38 @@ def _order_by_matrix_powers(g):
     return n
 
 
-def test_group_permutations_against_matrices(ctx64, ctx729):
-    """Slow oracle for the permutations of group elements: g.apply and
-    g.apply_subspace on every vector and subspace, composition and the
+def test_group_action_against_matrices(ctx64, ctx729):
+    """Slow oracle for the line action of group elements: g.apply on every
+    nonzero vector, g.apply_subspace on every subspace, composition and the
     order by matrix products."""
     ctx4 = context_for(2, 2, 2, [1, 2])  # k = GF(4)
     rng = random.Random(0)
     for ctx, n_plus_1 in ((ctx64, 3), (ctx729, 2), (ctx4, 2)):
         index = _subspace_order(n_plus_1, ctx)
         subs = all_subspaces(n_plus_1, ctx)
-        lines = enumerate_subspaces(n_plus_1, 1, ctx)
+        units = [c for c in ctx.k_elements if c]
         group = enumerate_pgl(n_plus_1, ctx)
         for g in group:
-            vperm, sperm, lperm = g.permutations()
-            assert [index.vectors[i] for i in vperm] == [g.apply(v) for v in index.vectors]
-            assert [subs[s] for s in sperm] == [g.apply_subspace(W) for W in subs]
-            assert [lines[j] for j in lperm] == [g.apply_subspace(L) for L in lines]
+            action = g.action()
+            for j, u in enumerate(index.lines):
+                image, mu = action.line(j)
+                for c in units:
+                    assert g.apply(tuple(c * a for a in u)) == tuple(
+                        c * mu * a for a in index.lines[image]
+                    )
+            assert [subs[action.subspace(s)] for s in range(len(subs))] == [
+                g.apply_subspace(W) for W in subs
+            ]
             assert g.order() == _order_by_matrix_powers(g)
-        assert len({g.permutations()[2] for g in group}) == len(group)
+        assert len({g.action().permutation() for g in group}) == len(group)
         for g, h in (rng.sample(group, 2) for _ in range(200)):
-            # vectors are left out: the product's representative may differ
+            # scalars are left out: the product's representative may differ
             # from the product of the representatives by a scalar
-            _, gh_subs, gh_lines = g.compose(h).permutations()
-            _, g_subs, g_lines = g.permutations()
-            _, h_subs, h_lines = h.permutations()
-            assert gh_subs == tuple(g_subs[s] for s in h_subs)
-            assert gh_lines == tuple(g_lines[j] for j in h_lines)
+            gh, ga, ha = g.compose(h).action(), g.action(), h.action()
+            assert gh.permutation() == tuple(ga.permutation()[j] for j in ha.permutation())
+            assert [gh.subspace(s) for s in range(len(subs))] == [
+                ga.subspace(ha.subspace(s)) for s in range(len(subs))
+            ]
 
 
 def test_flag_refinement_order(ctx64):
