@@ -10,8 +10,10 @@ scalars on the twist span of a dense quotient point (fixpoint_check_omega).
 Brute force asks fixes(x, g) of every g, which answers act(x, g) == x
 without building the moved point and stops at the first mismatch.  All
 but the P test read g through g.action(), its images of the lines and
-subspaces of V found from the matrix on first use.  act, apply, compose and
-inverse stay on matrices as the oracle the tests compare that with.
+subspaces of V found from the matrix on first use, and read a functional on
+W at W's lines through their coordinates in the rational index; the
+predicted route decides g(W) = W on W's echelon rows alone.  act, apply,
+compose and inverse stay on matrices as the oracle the tests compare that with.
 """
 
 import math
@@ -154,7 +156,7 @@ class _Action:
         return image
 
     def subspace(self, s):
-        members = self.index.line_members[s]
+        members = self.index.line_coords[s]
         if len(members) in (0, len(self._lines)):
             return s  # every element fixes the zero space and V
         return self.index.by_lines[sum(1 << self.line(j)[0] for j in members)]
@@ -278,10 +280,9 @@ def _fixes_test(x):
     elif isinstance(x, BPoint):
         values, checks = {}, []  # l_W on the lines of W; W's rows as lines
         for W in (W for subs in index.by_dim[:1:-1] for W in subs):
-            s, pivots = index.subspace_id[W], W.pivots()
+            s = index.subspace_id[W]
             values[s] = {
-                j: apply_functional(x.family[W], tuple(index.lines[j][p] for p in pivots))
-                for j in index.line_members[s]
+                j: apply_functional(x.family[W], c) for j, c in index.line_coords[s].items()
             }
             checks.append((s, [index.line_id[r] for r in W.rows], x.family[W]))
 
@@ -416,9 +417,8 @@ class _QuotientBlock:
             for b in coords_to_ambient(big, comp_c.rows)
         ]
         self.to_quotient = {
-            j: tuple(apply_functional(r, [index.lines[j][p] for p in big.pivots()])
-                     for r in zip(*by_coordinate))
-            for j in index.line_members[index.subspace_id[big]]
+            j: tuple(apply_functional(r, c) for r in zip(*by_coordinate))
+            for j, c in index.line_coords[index.subspace_id[big]].items()
         }
         _, lbar = quotient_functional(coords, small_c, ctx)
         self.dense = _DenseCovector(lbar, ctx)
@@ -436,9 +436,9 @@ class _QuotientBlock:
 
 
 def _predicted_blocks(x):
-    """The invariance constraints and quotient blocks of the block-triangular
-    stabilizer description: the ids of the stratum flag's members, and blocks on
-    its chain (P the top one, Q the bottom one, B every one)."""
+    """The invariance constraints of the block-triangular stabilizer description,
+    (line of r, lines of W) for each echelon row r of each stratum flag member W,
+    and its blocks on the flag's chain (P the top one, Q the bottom one, B all)."""
     ctx = x.ctx
     flag = stratum_flag(x)
     chain = flag.chain(ctx)
@@ -456,7 +456,9 @@ def _predicted_blocks(x):
             _QuotientBlock(chain[t], chain[t + 1], x.family[chain[t]], ctx)
             for t in range(len(chain) - 1)
         ]
-    return [_subspace_order(x.n_plus_1, ctx).subspace_id[m] for m in flag.members], blocks
+    index = _subspace_order(x.n_plus_1, ctx)
+    return [(index.line_id[r], index.line_coords[index.subspace_id[m]])
+            for m in flag.members for r in m.rows], blocks
 
 
 def stabilizer_predicted(x, group=None):
@@ -473,7 +475,9 @@ def stabilizer_predicted(x, group=None):
     invariant, blocks = _predicted_blocks(x)
     out = []
     for g in group:
-        if any(g.action().subspace(s) != s for s in invariant):
+        # g is invertible, so g(W) inside W, read on W's rows, means g(W) = W
+        action = g.action()
+        if not all(action.line(j)[0] in inside for j, inside in invariant):
             continue
         if all(block.passes(g) for block in blocks):
             out.append(g)
@@ -589,11 +593,12 @@ def p_core(subgroup):
     subgroup = list(subgroup)
     if not subgroup:
         return []
+    inverses = [(h, h.inverse()) for h in subgroup]
     out = []
     for x in subgroup:
         if not is_unipotent(x):
             continue
-        conj = {h.compose(x).compose(h.inverse()) for h in subgroup}
+        conj = {h.compose(x).compose(h_inv) for h, h_inv in inverses}
         closure = set(conj)
         frontier = list(conj)
         is_p_group = True

@@ -21,7 +21,6 @@ from .field import FieldCtx
 from .linalg import _subspace_order, all_subspaces, enumerate_flags, gaussian_binomial
 from .points import (
     _nonzero_subspace_count,
-    b_classify,
     b_enumerate_flag,
     enumerate_functionals,
     flag_str,
@@ -161,8 +160,8 @@ def _count_task(task):
         points = q_enumerate_stratum(_WORKER["strata"][index], ctx, m)
         keys = (subspace_str(q_classify(x), ctx) for x in points)
     else:
-        points = b_enumerate_flag(_WORKER["strata"][index], ctx, m)
-        keys = (flag_str(b_classify(x), ctx) for x in points)
+        flag = _WORKER["strata"][index]  # b_from_flag_data classifies what it builds
+        keys = [flag_str(flag, ctx)] * len(b_enumerate_flag(flag, ctx, m))
     return Counter(keys)
 
 
@@ -179,7 +178,6 @@ def count_stratum_points(variety, n_plus_1, ctx, m, jobs=1):
     "Counts per stratum key over k_m by enumeration + classification."
     params = (ctx.p, ctx.e, ctx.D, ctx.modulus, variety, n_plus_1)
     tasks = _tasks_for(variety, n_plus_1, ctx, m)
-    results = []
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_worker_init, initargs=(params,)
@@ -188,7 +186,10 @@ def count_stratum_points(variety, n_plus_1, ctx, m, jobs=1):
     else:
         _worker_init(params)
         results = [_count_task(t) for t in tasks]
-    return dict(sum(results, Counter()))
+    counts = Counter()
+    for result in results:
+        counts.update(result)  # every count is positive: empty strata stay absent
+    return dict(counts)
 
 
 # --- cache ------------------------------------------------------------------

@@ -311,7 +311,7 @@ def gaussian_binomial(n, d, q):
 
 
 _RationalIndex = namedtuple(
-    "_RationalIndex", "by_dim above subspace_id lines line_id line_members by_lines"
+    "_RationalIndex", "by_dim above subspace_id lines line_id line_coords by_lines"
 )
 
 
@@ -321,7 +321,10 @@ def _subspace_order(n_plus_1, ctx):
     ones, canonical and sorted; above[W] W's strict superspaces in that order;
     subspace_id[W] W's position in by_dim read in order.  Line j (in by_dim[1]'s
     order) is spanned by the normalized lines[j] (line_id inverts it), and
-    line_members[s] lists the lines in subspace s; by_lines inverts their bitset.
+    line_coords[s] maps the lines in subspace s, in order, to their
+    coordinates in W_s's echelon basis (entries at its pivots); by_lines
+    inverts their bitset.  Echelon rows are normalized line vectors, so a row
+    r of W' <= W_s has coordinates line_coords[s][line_id[r]], with no solving.
 
     Echelon parametrisation: choose pivot columns, then fill every entry
     that sits right of its row's pivot and is not itself a pivot column.
@@ -348,11 +351,12 @@ def _subspace_order(n_plus_1, ctx):
     # an echelon row is normalized: its first nonzero entry is its pivot, 1
     lines = tuple(L.rows[0] for L in by_dim[1])
     subspaces = [W for subs in by_dim for W in subs]
-    line_members = tuple(
-        tuple(j for j, u in enumerate(lines) if W.contains_vector(u)) for W in subspaces
+    line_coords = tuple(
+        {j: tuple(u[p] for p in W.pivots()) for j, u in enumerate(lines) if W.contains_vector(u)}
+        for W in subspaces
     )
     # a subspace is the span of its lines, so a < b iff a's lines are b's
-    bits = [sum(1 << j for j in m) for m in line_members]
+    bits = [sum(1 << j for j in m) for m in line_coords]
     above = {
         a: tuple(
             b for b, b_bits in zip(subspaces, bits) if b.dim > a.dim and a_bits & ~b_bits == 0
@@ -361,7 +365,7 @@ def _subspace_order(n_plus_1, ctx):
     }
     return _RationalIndex(
         tuple(by_dim), above, {W: s for s, W in enumerate(subspaces)}, lines,
-        {u: j for j, u in enumerate(lines)}, line_members, {b: s for s, b in enumerate(bits)},
+        {u: j for j, u in enumerate(lines)}, line_coords, {b: s for s, b in enumerate(bits)},
     )
 
 
@@ -426,12 +430,6 @@ def quotient_functional(coords, sub, ctx):
     comp = complement(sub, Subspace.full(s, ctx))
     induced = tuple(apply_functional(coords, r) for r in comp.rows)
     return comp, normalize_functional(induced)
-
-
-def subspace_in_coords(within, sub):
-    "Express sub (a subspace of within) inside within's coordinate space."
-    vecs = [within.coords_of(r) for r in sub.rows]
-    return Subspace.span(within.dim, vecs)
 
 
 def coords_to_ambient(within, coord_rows):

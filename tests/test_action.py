@@ -305,7 +305,7 @@ def test_stabilizer_orders_factor_through_blocks(ctx64):
     # Levi-style factorization forced by the block-triangular shape:
     # P: |Stab| = q^(d(n+1-d)) |GL(d,q)| |Stab(induced dense point)|,
     # B: |Stab| = q^stars (q-1)^(blocks-1) prod_i |Stab(block point)|
-    from drinfeld.linalg import quotient_functional, subspace_in_coords
+    from drinfeld.linalg import quotient_functional
 
     q = 2
     groups = {d: enumerate_pgl(d, ctx64) for d in (1, 2, 3)}
@@ -326,7 +326,8 @@ def test_stabilizer_orders_factor_through_blocks(ctx64):
         stars = sum(d1 * d2 for i, d1 in enumerate(dims) for d2 in dims[i + 1 :])
         prod = 1
         for t in range(len(chain) - 1):
-            small_c = subspace_in_coords(chain[t], chain[t + 1])
+            big, small = chain[t], chain[t + 1]
+            small_c = Subspace.span(big.dim, [big.coords_of(r) for r in small.rows])
             _, lbar = quotient_functional(x.family[chain[t]], small_c, ctx64)
             prod *= len(
                 stabilizer_bruteforce(PPoint(ctx64, lbar), groups[len(lbar)])

@@ -189,7 +189,9 @@ def test_subspace_order_against_direct_containment(ctx64, ctx729):
         assert all(index.line_id[u] == j for j, u in enumerate(index.lines))
         for s, W in enumerate(subs):
             inside = [j for j, L in enumerate(lines) if W.contains(L)]
-            assert list(index.line_members[s]) == inside
+            assert list(index.line_coords[s]) == inside
+            for j, coords in index.line_coords[s].items():
+                assert coords == W.coords_of(index.lines[j])
             assert index.by_lines[sum(1 << j for j in inside)] == s
         for a in subs:
             assert list(above[a]) == [

@@ -326,6 +326,37 @@ def test_b_classify_guards_divisor_chain_agreement(ctx64):
         b_classify(broken)
 
 
+def test_b_built_point_classifying_elsewhere_raises(ctx64, monkeypatch):
+    # the roundtrip check on built points is a raise, not an assert that
+    # python -O would strip
+    from drinfeld import enumerate_flags, points
+
+    flag = next(f for f in enumerate_flags(3, ctx64) if len(f) == 2)  # one point
+    monkeypatch.setattr(points, "b_classify", lambda x: Flag.trivial(3))
+    with pytest.raises(InvariantViolation):
+        b_enumerate_flag(flag, ctx64, 1)
+
+
+def test_count_classifies_each_b_point_once(ctx64, monkeypatch):
+    from collections import Counter
+
+    from drinfeld import atlas, points
+
+    calls = Counter()
+    classify = points.b_classify
+
+    def counting(x):
+        calls[x] += 1
+        return classify(x)
+
+    # every module that could classify the points count builds
+    monkeypatch.setattr(points, "b_classify", counting)
+    monkeypatch.setattr(atlas, "b_classify", counting, raising=False)
+    counts = atlas.count_stratum_points("B", 3, ctx64, 1)
+    assert sum(counts.values()) == len(calls) == 21
+    assert set(calls.values()) == {1}
+
+
 def test_b_validate_detects_perturbation(ctx64):
     # replacing one plane functional of a dense point breaks a minor, and
     # both tests must agree on that
