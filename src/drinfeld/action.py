@@ -20,7 +20,7 @@ import math
 from functools import lru_cache
 from itertools import product
 
-from .errors import DefectSignal
+from .errors import DefectSignal, InvariantViolation
 from .linalg import (
     Flag,
     Subspace,
@@ -310,18 +310,50 @@ def stabilizer_bruteforce(x, group=None):
 
     Each element is tested with fixes(x, g), which stops at the first
     mismatch instead of building x.g; nothing of the predicted route is
-    consulted.  The result is asserted to be a subgroup, on line permutations.
+    consulted.  The result is checked to be a subgroup, on line permutations.
     """
     if group is None:
         group = enumerate_pgl(x.n_plus_1, x.ctx)
     stab = list(filter(_fixes_test(x), group))
-    members = {g.action().permutation() for g in stab}
-    for a in members:
-        inverse = tuple(sorted(range(len(a)), key=a.__getitem__))
-        assert inverse in members, "stabilizer not closed under inverse"
-        for b in members:
-            assert tuple(a[i] for i in b) in members, "stabilizer not closed under product"
+    _check_subgroup([g.action().permutation() for g in stab])
     return sorted(set(stab), key=GroupElement.sort_key)
+
+
+def _check_subgroup(perms):
+    """InvariantViolation unless the permutations (tuples, i -> perm[i])
+    form a group.
+
+    Generators are chosen greedily, each member not yet in the group the
+    chosen ones generate, and that group is grown from the identity by right
+    multiplication.  A finite set holding the identity that contains every
+    such product holds the group its members generate, so it is that group:
+    about |perms| * log|perms| compositions instead of |perms|^2.
+    """
+    members = set(perms)
+    identity = tuple(range(len(perms[0]))) if perms else None
+    if identity not in members:
+        raise InvariantViolation("stabilizer does not contain the identity")
+    generated, gens = {identity}, []
+    for a in perms:
+        if a in generated:
+            continue
+        gens.append(a)
+        # the old group times the new generator, then everything new times
+        # every generator
+        frontier, fresh = list(generated), [a]
+        while frontier:
+            new = []
+            for h in frontier:
+                for g in fresh:
+                    hg = tuple(h[i] for i in g)
+                    if hg not in members:
+                        raise InvariantViolation("stabilizer not closed under product")
+                    if hg not in generated:
+                        generated.add(hg)
+                        new.append(hg)
+            frontier, fresh = new, gens
+    if generated != members:
+        raise InvariantViolation("stabilizer is not the group its members generate")
 
 
 def fixpoint_check_omega(coords, g_matrix_rows, ctx):

@@ -200,19 +200,31 @@ def _cache_path(cache_dir, variety, ctx, n_plus_1, m):
     return os.path.join(cache_dir, name)
 
 
-def _cache_load(cache_dir, variety, ctx, n_plus_1, m):
+def _cache_load(cache_dir, variety, ctx, n_plus_1, m, keys):
+    """The cached counts, or None for a miss: no readable file, another
+    header, or counts that cannot be right.  Counts are kept only as positive
+    ints on stratum keys (keys: the set of them) that sum to the variety's
+    point count; two counts swapped between strata still pass."""
     path = _cache_path(cache_dir, variety, ctx, n_plus_1, m)
     if not os.path.exists(path):
         return None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):  # JSON or UTF-8 that does not decode
         return None
     expected = _cache_header(variety, ctx, n_plus_1, m)
-    if any(obj.get(k) != v for k, v in expected.items()):
+    if type(obj) is not dict or any(obj.get(k) != v for k, v in expected.items()):
         return None
-    return obj.get("counts")
+    counts = obj.get("counts")
+    if (
+        type(counts) is not dict
+        or not counts.keys() <= keys
+        or any(type(c) is not int or c < 1 for c in counts.values())
+        or sum(counts.values()) != _variety_total(variety, n_plus_1, ctx.q, m)
+    ):
+        return None
+    return counts
 
 
 def _cache_header(variety, ctx, n_plus_1, m):
@@ -269,11 +281,12 @@ def build_atlas(variety, n_plus_1, ctx, m_list, jobs=1, cache_dir=None):
         (key_of[a], key_of[b])
         for a, b in _closure_pairs(variety, node_objs, n_plus_1, ctx)
     )
+    keys = {key for key, _ in nodes}
     counts = {}
     for m in m_list:
         cached = None
         if cache_dir:
-            cached = _cache_load(cache_dir, variety, ctx, n_plus_1, m)
+            cached = _cache_load(cache_dir, variety, ctx, n_plus_1, m, keys)
         if cached is None:
             raw = count_stratum_points(variety, n_plus_1, ctx, m, jobs=jobs)
             if cache_dir:

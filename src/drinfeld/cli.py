@@ -9,6 +9,7 @@ whatever --jobs is.
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .atlas import _check_desk_scale, build_atlas, export
 from .errors import InvariantViolation
@@ -58,8 +59,11 @@ def _out(data):
 
 def _read_obj(args):
     if args.input and args.input != "-":
-        with open(args.input, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        try:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                obj = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read --input {args.input}: {exc.strerror or exc}") from None
     else:
         obj = json.load(sys.stdin)
     if not isinstance(obj, dict):
@@ -234,7 +238,9 @@ def cmd_verify(args):
     return exit_code
 
 
-def main(argv=None):
+@lru_cache(maxsize=None)
+def _parser():
+    "The argument parser, built on first use and shared by every main call."
     parser = argparse.ArgumentParser(
         prog="drinfeld",
         description=(
@@ -291,8 +297,11 @@ def main(argv=None):
     )
     p_verify.add_argument("--jobs", type=int, default=1, help="worker processes")
     p_verify.set_defaults(fn=cmd_verify)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, InvariantViolation, json.JSONDecodeError) as exc:

@@ -15,6 +15,7 @@ table build.
 """
 
 import math
+import weakref
 from functools import lru_cache
 from itertools import product
 
@@ -71,6 +72,7 @@ def _poly_is_irreducible(poly, p):
     return True
 
 
+@lru_cache(maxsize=None)
 def smallest_irreducible(p, degree):
     """Lexicographically smallest monic irreducible of given degree over F_p.
 
@@ -161,37 +163,64 @@ def _primitive_powers(p, D, modulus):
 _MAX_FIELD_BITS = 16
 
 
+def _field_key(p, e, D, modulus):
+    """(p, e, D, modulus) with the modulus as a tuple of residues, the
+    smallest irreducible standing in for None; ValueError for a field out of
+    range or a modulus of the wrong shape.  Irreducibility is left to the
+    build."""
+    if e < 1 or D < 1 or D % e != 0:
+        raise ValueError(f"need 1 <= e | D, got e={e}, D={D}")
+    # D first: p >= 2 for any field, so D > _MAX_FIELD_BITS is already
+    # too large, and p**D is formed only for D <= _MAX_FIELD_BITS
+    if D > _MAX_FIELD_BITS or p**D > 2**_MAX_FIELD_BITS:
+        raise ValueError(f"field size p^D must be at most 2^{_MAX_FIELD_BITS}")
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if modulus is None:
+        return p, e, D, smallest_irreducible(p, D)
+    modulus = tuple(int(c) % p for c in modulus)
+    if len(modulus) != D + 1 or modulus[-1] != 1:
+        raise ValueError("modulus must be monic of degree D")
+    return p, e, D, modulus
+
+
+# The live contexts by _field_key: FieldCtx(...) returns the one already
+# built for a field while anything still holds it.
+_LIVE = weakref.WeakValueDictionary()
+
+
 class FieldCtx:
     """The ambient field GF(p^D) together with k = GF(p^e) sitting inside it.
 
     D must be a multiple of e and p^D at most 2^16.  The modulus defaults to
     the lexicographically smallest monic irreducible of degree D; a
-    caller-supplied modulus is verified irreducible.  The tables are built
-    here, once per context.
+    caller-supplied modulus is verified irreducible.
+
+    There is one live context per field per process: FieldCtx(...) returns
+    the context already built for (p, e, D, modulus), the default modulus
+    included, so equal contexts are the same object, equality is identity,
+    and so are their elements.  The tables are built once, by the first
+    call; a call that raises builds and keeps nothing.  Unpickling, in a
+    worker process too, returns that process's live context.
     """
 
+    def __new__(cls, p, e, D, modulus=None):
+        key = _field_key(p, e, D, modulus)
+        ctx = _LIVE.get(key)
+        if ctx is None:
+            ctx = super().__new__(cls)
+            ctx.p, ctx.e, ctx.D, ctx.modulus = key
+        return ctx
+
     def __init__(self, p, e, D, modulus=None):
-        if e < 1 or D < 1 or D % e != 0:
-            raise ValueError(f"need 1 <= e | D, got e={e}, D={D}")
-        # D first: p >= 2 for any field, so D > _MAX_FIELD_BITS is already
-        # too large, and p**D is formed only for D <= _MAX_FIELD_BITS
-        if D > _MAX_FIELD_BITS or p**D > 2**_MAX_FIELD_BITS:
-            raise ValueError(f"field size p^D must be at most 2^{_MAX_FIELD_BITS}")
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
-        if modulus is None:
-            modulus = smallest_irreducible(p, D)
-        else:
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != D + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree D")
-            if not _poly_is_irreducible(modulus, p):
-                raise ValueError("modulus is not irreducible over F_p")
-        self.p = p
-        self.e = e
-        self.D = D
+        "Build the tables of a new context, whose key __new__ has set."
+        if hasattr(self, "_els"):
+            return  # a live context, built before
+        # the default modulus is irreducible by construction
+        if modulus is not None and not _poly_is_irreducible(self.modulus, p):
+            raise ValueError("modulus is not irreducible over F_p")
+        modulus = self.modulus
         self.q = p**e
-        self.modulus = modulus
         self._order = order = p**D - 1
         # nonzero logs lie in range(order) and zero's is 2*order, so a sum of
         # two logs indexes _antilog: g^(sum) below 2*order, zero from there on
@@ -209,6 +238,7 @@ class FieldCtx:
         self._half = order // 2 if p > 2 else 0
         self._zech_minus = self._zech[self._half:] + self._zech[: self._half]
         self._inv_q = pow(self.q, D // e - 1, order)
+        _LIVE[p, e, D, modulus] = self
 
     def element(self, coeffs):
         "Element from an iterable of up to D residues (low degree first)."
@@ -250,15 +280,8 @@ class FieldCtx:
     def k_elements(self):
         return self.subfield_elements(1)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldCtx)
-            and (self.p, self.e, self.D, self.modulus)
-            == (other.p, other.e, other.D, other.modulus)
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.e, self.D, self.modulus))
+    def __reduce__(self):
+        return (FieldCtx, (self.p, self.e, self.D, self.modulus))
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, e={self.e}, D={self.D})"
@@ -326,11 +349,19 @@ class Element:
     def __lt__(self, other):
         return self.code < other.code
 
+    def __reduce__(self):
+        return (_interned_element, (self.ctx, self.code))
+
     def __repr__(self):
         coeffs = self.coeffs
         if all(c == 0 for c in coeffs[1:]):
             return str(coeffs[0])
         return "poly" + str(_poly_trim(coeffs))
+
+
+def _interned_element(ctx, code):
+    "The element of ctx with this code: how an Element unpickles."
+    return ctx._els[code]
 
 
 def _int_rref_mod_p(rows, p):

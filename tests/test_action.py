@@ -29,7 +29,8 @@ from drinfeld import (
     unipotent_elements,
     unipotent_radical_k,
 )
-from drinfeld.action import GroupElement
+from drinfeld.action import GroupElement, _check_subgroup
+from drinfeld.errors import InvariantViolation
 from drinfeld.points import b_classify, enumerate_omega, flag_str, subspace_str, vector_str
 
 
@@ -118,6 +119,19 @@ def test_omega_point_stabilizer_is_cyclic_of_order_three(ctx64, omega4):
     orders = sorted(g.order() for g in stab)
     assert orders == [1, 3, 3]
     assert stabilizer_predicted(x) == stab
+
+
+def test_subgroup_check_rejects_non_subgroups(ctx64, omega4):
+    stab = stabilizer_bruteforce(PPoint(ctx64, (ctx64.one, omega4)))
+    perms = [g.action().permutation() for g in stab]
+    _check_subgroup(perms)
+    identity = tuple(range(len(perms[0])))
+    a = next(p for g, p in zip(stab, perms) if g.order() == 3)
+    assert identity in perms
+    with pytest.raises(InvariantViolation, match="identity"):
+        _check_subgroup([p for p in perms if p != identity])
+    with pytest.raises(InvariantViolation, match="closed"):
+        _check_subgroup([identity, a])  # a has order 3: a*a is missing
 
 
 def test_fixpoint_witness_divisors(ctx64, omega4):

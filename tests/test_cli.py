@@ -98,6 +98,29 @@ def test_point_without_field_key_is_an_error(dense_point_json):
     _assert_one_error_line(run_cli(["classify"], stdin=json.dumps(obj).encode()))
 
 
+def test_unreadable_input_file_is_an_error(tmp_path):
+    # a missing file and a directory: one error line each, no traceback
+    for path in (tmp_path / "missing.json", tmp_path):
+        for cmd in ("classify", "stabilizer"):
+            _assert_one_error_line(run_cli([cmd, "--input", str(path)]))
+
+
+def test_main_in_process_is_the_same_after_an_error(tmp_path, dense_point_json, capsysbinary):
+    # the argument parser is built once and shared: an error in between
+    # leaves nothing behind
+    from drinfeld import cli
+
+    path = tmp_path / "point.json"
+    path.write_bytes(dense_point_json)
+    good = ["classify", "--input", str(path), "--format", "json"]
+    runs = []
+    for argv in (good, ["classify", "--input", str(tmp_path / "missing.json")], good):
+        code = cli.main(argv)
+        runs.append((code, *capsysbinary.readouterr()))
+    assert runs[0] == runs[2] and runs[0][0] == 0 and runs[0][1]
+    assert runs[1][0] == 2 and not runs[1][1] and runs[1][2].startswith(b"error:")
+
+
 def test_point_json_not_an_object_is_an_error(dense_point_json):
     body = b"[" + dense_point_json + b"]"
     for cmd in ("classify", "stabilizer"):
@@ -295,6 +318,38 @@ def test_strata_cache_dir(tmp_path):
     assert os.path.isdir(cache) and os.listdir(cache) == ["P_q2_n1_m1.json"]
     second = run_cli(args)
     assert second.stdout == first.stdout
+
+
+def _one_count_changed(obj):
+    obj["counts"][sorted(obj["counts"])[0]] += 5
+    return obj
+
+
+@pytest.mark.parametrize("damage", [
+    pytest.param(lambda obj: {**obj, "counts": "abc"}, id="counts-not-an-object"),
+    pytest.param(_one_count_changed, id="one-count-changed"),
+    pytest.param(lambda obj: [obj], id="a-list"),
+    pytest.param(lambda obj: b"\xff" + json.dumps(obj).encode(), id="not-utf-8"),
+])
+def test_count_recounts_over_a_damaged_cache(tmp_path, damage):
+    # P at (2, n=1, m=1) has 3 points; a cache file that cannot hold the
+    # true counts is a miss, recounted and written again
+    cache = str(tmp_path / "atlas-cache")
+    args = ["count", "--variety", "P", "--n", "1", "--m", "1",
+            "--format", "json", "--cache-dir", cache]
+    first = run_cli(args)
+    assert first.returncode == 0 and json.loads(first.stdout)["totals"] == {"1": 3}
+    path = os.path.join(cache, "P_q2_n1_m1.json")
+    with open(path, "rb") as fh:
+        good = fh.read()
+    body = damage(json.loads(good))
+    with open(path, "wb") as fh:
+        fh.write(body if isinstance(body, bytes) else json.dumps(body).encode())
+    again = run_cli(args)
+    assert again.returncode == 0, again.stderr
+    assert again.stdout == first.stdout
+    with open(path, "rb") as fh:
+        assert fh.read() == good
 
 
 def test_strata_no_cache_leaves_cache_dir_absent(tmp_path):

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from drinfeld import field_make, frobenius_k, subfield_degree
@@ -309,3 +311,29 @@ def test_field_size_bound_is_checked_before_primality():
     with pytest.raises(ValueError, match="at most 2"):
         FieldCtx(2, 1, 17)
     assert len(FieldCtx(2, 1, 16).k_elements) == 2
+
+
+def test_one_live_context_per_field():
+    # the default modulus names the same field as the explicit smallest one
+    ctx = FieldCtx(2, 1, 4)
+    assert ctx is FieldCtx(2, 1, 4, smallest_irreducible(2, 4))
+    assert ctx is FieldCtx(2, 1, 4, [c + 2 for c in smallest_irreducible(2, 4)])
+    assert ctx is not FieldCtx(2, 2, 4)
+    # a context built twice hands out its own elements, not an earlier one's
+    again = FieldCtx(2, 1, 2)
+    assert FieldCtx(2, 1, 2) is again
+    assert all(a.ctx is again for a in again.k_elements)
+
+
+def test_pickling_returns_the_live_context_and_element():
+    ctx = FieldCtx(3, 1, 2)
+    assert pickle.loads(pickle.dumps(ctx)) is ctx
+    a = ctx.elements()[5]
+    assert pickle.loads(pickle.dumps(a)) is a
+
+
+def test_a_rejected_modulus_raises_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not irreducible"):
+            FieldCtx(2, 1, 2, (0, 0, 1))
+    assert FieldCtx(2, 1, 2).modulus == (1, 1, 1)
