@@ -154,7 +154,7 @@ def _count_task(task):
     variety = _WORKER["variety"]
     n_plus_1 = _WORKER["n_plus_1"]
     if variety == "P":
-        funcs = enumerate_functionals(n_plus_1, ctx, m)[lo:hi]
+        funcs = enumerate_functionals(n_plus_1, ctx, m, lo, hi)
         keys = (subspace_str(p_classify(PPoint(ctx, c)), ctx) for c in funcs)
     elif variety == "Q":
         points = q_enumerate_stratum(_WORKER["strata"][index], ctx, m)

@@ -12,6 +12,10 @@ field:
 
 Classification sends a point to the stratum it lies in: the rational kernel
 (P), the support span (Q), or the kernel chain flag (B).
+
+A certificate linear in the input decides each axiom (Q: r = 1/l on the span
+of its support; B: l_W, l_W' proportional on the lines of W'); the scans over
+pairs of vectors run only once it fails, to name the first witness.
 """
 
 from functools import lru_cache
@@ -162,18 +166,22 @@ def canonical_vectors(n_plus_1, ctx, nonzero=True):
     return vecs
 
 
-def enumerate_functionals(dim, ctx, m):
-    """All normalized functionals of length dim with entries in k_m.
+def enumerate_functionals(dim, ctx, m, lo=0, hi=float("inf")):
+    """All normalized functionals of length dim with entries in k_m, or those
+    at positions lo..hi-1 only, each built from its position.
 
-    Count is (q^(m*dim) - 1)/(q^m - 1); deterministic order by leading
-    position, then lexicographic tail.
+    Count is (q^(m*dim) - 1)/(q^m - 1); order by leading position, then the
+    tail: offset t in its lead's block holds the base-q^m digits of t.
     """
     els = ctx.subfield_elements(m)
-    out = []
+    base, out = len(els), []
     for lead in range(dim):
         head = (ctx.zero,) * lead + (ctx.one,)
-        for tail in product(els, repeat=dim - lead - 1):
-            out.append(head + tail)
+        weights = [base**i for i in reversed(range(dim - lead - 1))]
+        block = base * weights[0] if weights else 1
+        for t in range(max(lo, 0), min(hi, block)):
+            out.append(head + tuple(els[t // w % base] for w in weights))
+        lo, hi = lo - block, hi - block
     return out
 
 
@@ -257,7 +265,8 @@ def q_validate(table, ctx, n_plus_1):
     """Check the reciprocal-map axioms on a raw table over V \\ {0}.
 
     Returns a QValidation; on failure the code names the violated axiom
-    ('non-generating', 'scaling', 'addition') with witness vectors.
+    ('non-generating', 'scaling', 'addition') with witness vectors.  A linear
+    certificate decides addition; the scan over pairs only names the witness.
     """
     if not _covers(len(table), n_plus_1, _nonzero_vector_count, ctx.q):
         raise ValueError("table must be defined on exactly the nonzero vectors")
@@ -275,6 +284,8 @@ def q_validate(table, ctx, n_plus_1):
             lv = tuple(lam * a for a in v)
             if table[lv] != lam.inverse() * rv:
                 return QValidation("scaling", (lam, v))
+    if _reciprocal_certificate(table, [v for v in vectors if table[v]], ctx, n_plus_1):
+        return QValidation()
     for v, w in combinations(vectors, 2):
         s = tuple(a + b for a, b in zip(v, w))
         if not any(s):
@@ -283,7 +294,18 @@ def q_validate(table, ctx, n_plus_1):
         rhs = table[s] * (table[v] + table[w])
         if lhs != rhs:
             return QValidation("addition", (v, w))
-    return QValidation()
+    raise DefectSignal("the reciprocal certificate failed on a table with no addition witness")
+
+
+def _reciprocal_certificate(table, support, ctx, n_plus_1):
+    """Whether a table that satisfies scaling satisfies addition: exactly when
+    its support is W minus 0 for W = span(support) and r = 1/l on it, l the
+    linear functional with l = 1/r on W's echelon rows."""
+    span = Subspace.span(n_plus_1, support)
+    if len(support) != ctx.q**span.dim - 1:
+        return False
+    pivots, func = span.pivots(), tuple(table[r].inverse() for r in span.rows)
+    return all(table[v] * apply_functional(func, [v[i] for i in pivots]) == ctx.one for v in support)
 
 
 def _normalize_table(table):
@@ -364,8 +386,9 @@ def q_bruteforce(ctx, n_plus_1, m):
 class BValidation:
     """Outcome of both compatibility tests on a family.
 
-    minor_ok: the 2x2 incidence minors; prop_ok: every restriction is a
-    scalar multiple (possibly zero) of the attached functional.  The two are
+    minor_ok: the 2x2 incidence minors, decided on lines, the scan over
+    vectors only naming the witness; prop_ok: every restriction is a scalar
+    multiple (possibly zero) of the attached functional.  The two are
     equivalent; a disagreement raises DefectSignal at the call site.
     """
 
@@ -382,17 +405,6 @@ class BValidation:
 
     def __repr__(self):
         return "valid" if self else f"invalid({self.code}, witness={self.witness})"
-
-
-def _family_values(family, ctx):
-    "For each subspace, tabulate the attached functional on its vectors."
-    return {
-        W: {
-            v: apply_functional(coords, c)
-            for v, c in zip(W.vectors(ctx), product(ctx.k_elements, repeat=W.dim))
-        }
-        for W, coords in family.items()
-    }
 
 
 def _nested_pairs(family, ctx):
@@ -414,19 +426,37 @@ def _restrict(func, big, small, index):
     return tuple(apply_functional(func, c) for c in _row_coords(big, small, index))
 
 
+def _minors_vanish(big, small):
+    """Whether all minors of l_W, l_W' on W' <= W vanish, from their values big
+    and small on W''s lines (a minor scales by c*c' with v, v'): whether those
+    are proportional, the ratio read at small's first nonzero value."""
+    lead = next((j for j, a in small.items() if a), None)
+    return lead is None or all(big[j] * small[lead] == big[lead] * a for j, a in small.items())
+
+
 def incidence_minors_ok(family, ctx):
     """Test (a): all 2x2 minors across nested pairs of subspaces vanish.
 
     Returns (ok, witness); the witness is (W, W', v, v') for the first
-    violated minor.
+    violated minor.  Each pair is decided on W''s lines; the scan over its
+    vectors only names the witness, for the first pair that fails.
     """
-    values = _family_values(family, ctx)
+    index = _subspace_order(next(iter(family)).n_plus_1, ctx)
+    on_lines = {
+        W: {j: apply_functional(func, c) for j, c in index.line_coords[index.subspace_id[W]].items()}
+        for W, func in family.items()
+    }
     for small, big in _nested_pairs(family, ctx):
-        vals_b, vals_s = values[big], values[small]
-        small_vecs = [v for v in vals_s if any(v)]
-        for v, w in combinations(small_vecs, 2):
-            if vals_b[v] * vals_s[w] != vals_b[w] * vals_s[v]:
+        # any two vectors of a line are proportional, so its minors vanish
+        if small.dim == 1 or _minors_vanish(on_lines[big], on_lines[small]):
+            continue
+        restriction = _restrict(family[big], big, small, index)
+        values = [(v, apply_functional(restriction, c), apply_functional(family[small], c))
+                  for v, c in zip(small.vectors(ctx), product(ctx.k_elements, repeat=small.dim)) if any(c)]
+        for (v, big_v, small_v), (w, big_w, small_w) in combinations(values, 2):
+            if big_v * small_w != big_w * small_v:
                 return False, (big, small, v, w)
+        raise DefectSignal("the minors failed on lines but on no pair of vectors")
     return True, None
 
 

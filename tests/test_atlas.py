@@ -92,6 +92,29 @@ def test_export_deterministic_bytes(ctx64):
         assert export(a1, fmt) == export(a1, fmt)
 
 
+def test_p_slices_concatenate_to_the_enumeration():
+    # each slice a count worker gets is built alone, from its positions; the
+    # reference is the lead blocks with itertools.product tails, and at q = 3
+    # a slice bound falls inside a block
+    from itertools import product
+
+    from drinfeld.atlas import _tasks_for
+    from drinfeld.points import enumerate_functionals
+
+    for p, n_plus_1, m in ((2, 4, 3), (3, 4, 2)):
+        ctx = context_for(p, 1, n_plus_1, [m])
+        els = ctx.subfield_elements(m)
+        ref = [
+            (ctx.zero,) * lead + (ctx.one,) + tail
+            for lead in range(n_plus_1)
+            for tail in product(els, repeat=n_plus_1 - lead - 1)
+        ]
+        tasks = _tasks_for("P", n_plus_1, ctx, m)
+        assert len(tasks) > 1
+        sliced = [c for _, _, lo, hi in tasks for c in enumerate_functionals(n_plus_1, ctx, m, lo, hi)]
+        assert sliced == enumerate_functionals(n_plus_1, ctx, m) == ref
+
+
 def test_export_rejects_unknown_format(ctx64):
     atlas = build_atlas("P", 2, ctx64, [])
     with pytest.raises(ValueError):

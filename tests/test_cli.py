@@ -309,6 +309,17 @@ def test_strata_deterministic_across_jobs():
         assert one.stdout == two.stdout
 
 
+def test_count_p_over_several_slices_deterministic_across_jobs():
+    # 820 points: two slices of the enumeration, one per worker at --jobs 2
+    base = ["count", "--variety", "P", "--p", "3", "--n", "3", "--m", "2",
+            "--format", "json", "--no-cache"]
+    one = run_cli(base + ["--jobs", "1"], timeout=120)
+    two = run_cli(base + ["--jobs", "2"], timeout=120)
+    assert one.returncode == 0 and two.returncode == 0
+    assert one.stdout == two.stdout
+    assert json.loads(one.stdout)["totals"] == {"2": 820}
+
+
 def test_strata_cache_dir(tmp_path):
     cache = str(tmp_path / "atlas-cache")
     args = ["strata", "--variety", "P", "--n", "1", "--m", "1",

@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -14,7 +15,9 @@ from drinfeld import (
     b_enumerate,
     b_from_flag_data,
     b_validate,
+    context_for,
     enumerate_omega,
+    field_make,
     frobenius_twist,
     omega_embed_b,
     omega_embed_q,
@@ -29,14 +32,17 @@ from drinfeld import (
     rho_map,
     twist_span_dim,
 )
-from drinfeld.errors import InvariantViolation
+from drinfeld.errors import DefectSignal, InvariantViolation
+from drinfeld.linalg import apply_functional
 from drinfeld.points import (
     b_enumerate_flag,
     canonical_vectors,
     enumerate_functionals,
     incidence_minors_ok,
     q_bruteforce,
+    q_from_omega,
     restriction_proportional_ok,
+    subspace_str,
 )
 
 
@@ -157,6 +163,109 @@ def test_q_totals_equal_p_totals(ctx64):
             )
 
 
+def _q_validate_oracle(table, ctx, n_plus_1):
+    "(ok, code, witness) of the axioms as stated: scaling, then addition on every pair."
+    vectors = canonical_vectors(n_plus_1, ctx)
+    if not any(table[v] for v in vectors):
+        return False, "non-generating", None
+    for v in vectors:
+        for lam in ctx.k_elements:
+            if lam and lam != ctx.one and table[tuple(lam * a for a in v)] != lam.inverse() * table[v]:
+                return False, "scaling", (lam, v)
+    for v, w in combinations(vectors, 2):
+        s = tuple(a + b for a, b in zip(v, w))
+        if any(s) and table[v] * table[w] != table[s] * (table[v] + table[w]):
+            return False, "addition", (v, w)
+    return True, None, None
+
+
+def _assert_q_validate_is_the_oracle(table, ctx, n_plus_1):
+    res = q_validate(table, ctx, n_plus_1)
+    assert (bool(res), res.code, res.witness) == _q_validate_oracle(table, ctx, n_plus_1)
+    return bool(res)
+
+
+def test_q_validate_against_the_oracle_on_every_table(ctx64):
+    # every normalized table, valid or not, at (q, n+1, m) = (2,2,1..3), (2,3,1)
+    for n_plus_1, m in ((2, 1), (2, 2), (2, 3), (3, 1)):
+        vectors = canonical_vectors(n_plus_1, ctx64)
+        valid = sum(
+            _assert_q_validate_is_the_oracle(dict(zip(vectors, values)), ctx64, n_plus_1)
+            for values in enumerate_functionals(len(vectors), ctx64, m)
+        )
+        assert valid == len(q_enumerate(ctx64, n_plus_1, m))
+
+
+def _scaled_tables(ctx, n_plus_1, els, rng, count):
+    """Random tables that satisfy scaling: a value in els per line, extended
+    by r(c u) = r(u) / c; they reach the addition test."""
+    for _ in range(count):
+        table = {}
+        for v in canonical_vectors(n_plus_1, ctx):
+            if v not in table:
+                val = rng.choice(els)
+                for c in ctx.k_elements:
+                    if c:
+                        table[tuple(c * a for a in v)] = c.inverse() * val
+        yield table
+
+
+def test_q_validate_against_the_oracle_on_random_and_perturbed_tables(ctx729):
+    rng = random.Random(5)
+    ctx16 = context_for(2, 2, 2, [1])  # k = GF(4)
+    for ctx, n_plus_1, m in ((ctx729, 2, 1), (ctx729, 2, 2), (ctx16, 2, 1), (ctx729, 3, 1)):
+        vectors, els = canonical_vectors(n_plus_1, ctx), ctx.subfield_elements(m)
+        tables = [{v: rng.choice(els) for v in vectors} for _ in range(100)]
+        tables += list(_scaled_tables(ctx, n_plus_1, els, rng, 200))
+        for x in q_enumerate(ctx, n_plus_1, m):
+            tables.append(dict(x.table))
+            v = rng.choice(vectors)
+            for val in (rng.choice([a for a in els if a != x.table[v]]), ctx.zero):
+                one_entry = dict(x.table)
+                one_entry[v] = val
+                # the same change on v's whole line keeps scaling
+                line = {
+                    tuple(c * a for a in v): c.inverse() * val for c in ctx.k_elements if c
+                }
+                tables += [one_entry, {**x.table, **line}]
+        valid = sum(_assert_q_validate_is_the_oracle(t, ctx, n_plus_1) for t in tables)
+        assert valid > len(q_enumerate(ctx, n_plus_1, m))
+        assert valid < len(tables)
+
+
+def test_q_certificate_and_scan_disagreeing_raise(ctx64, omega4, monkeypatch):
+    from drinfeld import points
+
+    x = omega_embed_q(PPoint(ctx64, (ctx64.one, omega4)))
+    monkeypatch.setattr(points, "_reciprocal_certificate", lambda *args: False)
+    with pytest.raises(DefectSignal):
+        q_validate(x.table, ctx64, 2)
+
+
+def test_large_valid_q_table_never_builds_the_subspace_index(tmp_path, monkeypatch, capsysbinary):
+    # 1/l for l = (1, g, ..., g^9), g primitive in GF(2^10): 1,023 entries,
+    # whose subspace index would hold 229,755,605 subspaces
+    from drinfeld import cli, linalg, points
+
+    ctx = field_make(2, 1, 10)
+    g = next(a for a in ctx.elements() if a and all(a ** (1023 // r) != ctx.one for r in (3, 11, 31)))
+    table = {}
+    for v in canonical_vectors(10, ctx):
+        table[v] = apply_functional(tuple(g**i for i in range(10)), v).inverse()
+
+    def refuse(*args):
+        raise AssertionError("a Q point built the subspace index")
+
+    monkeypatch.setattr(points, "_subspace_order", refuse)
+    monkeypatch.setattr(linalg, "_subspace_order", refuse)
+    assert q_validate(table, ctx, 10)
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(point_to_obj(QPoint(ctx, 10, table, validate=False))))
+    assert cli.main(["classify", "--input", str(path), "--format", "json"]) == 0
+    full = subspace_str(Subspace.full(10, ctx), ctx)
+    assert json.loads(capsysbinary.readouterr().out) == {"variety": "Q", "valid": True, "stratum": full}
+
+
 def _omega_count_moebius(s, q, m):
     """Dense-point count by Moebius inversion on the subspace lattice.
 
@@ -186,8 +295,6 @@ def test_omega_counts_match_moebius_formula(ctx64, ctx729):
 
 def test_q_classify_supports(ctx64, ctx729):
     line = Subspace.span(2, [vecs(ctx64, 1, 0)])
-    from drinfeld.points import q_from_omega
-
     x = q_from_omega((ctx64.one,), line, ctx64, 2)
     assert q_classify(x) == line
     # over GF(3): values on the line scale reciprocally
@@ -371,24 +478,60 @@ def test_b_validate_detects_perturbation(ctx64):
     a, wit_a = incidence_minors_ok(fam, ctx64)
     b, wit_b = restriction_proportional_ok(fam, ctx64)
     assert a == b and not a and wit_a is not None
+    assert (a, wit_a) == _minors_oracle(fam, ctx64)
     assert not b_validate(fam, ctx64)
     with pytest.raises(ValueError):
         BPoint(ctx64, 3, fam)
 
 
-def test_b_two_tests_agree_on_random_perturbations(ctx64):
+def _minors_oracle(family, ctx):
+    """(ok, witness) of the minors as stated: every pair of vectors of W' for
+    every W' < W, the family's subspaces in canonical order."""
+    values = {
+        W: dict(zip(W.vectors(ctx), (apply_functional(f, c) for c in product(ctx.k_elements, repeat=W.dim))))
+        for W, f in family.items()
+    }
+    subs = sorted(family, key=Subspace.sort_key)
+    for small in subs:
+        for big in (W for W in subs if W.dim > small.dim and W.contains(small)):
+            vals_b, vals_s = values[big], values[small]
+            for v, w in combinations([v for v in vals_s if any(v)], 2):
+                if vals_b[v] * vals_s[w] != vals_b[w] * vals_s[v]:
+                    return False, (big, small, v, w)
+    return True, None
+
+
+def test_b_two_tests_agree_on_random_perturbations(ctx64, ctx729):
     rng = random.Random(11)
-    for n_plus_1, m in ((2, 2), (3, 1), (3, 2)):
-        pts = b_enumerate(ctx64, n_plus_1, m)
-        subs = all_subspaces(n_plus_1, ctx64, include_zero=False)
+    failed = 0
+    # n+1 = 4 has pairs W' < W with W' of dimension 3, more lines than a basis
+    ctx2 = context_for(2, 1, 4, [1])
+    for ctx, n_plus_1, m in (
+        (ctx64, 2, 2), (ctx64, 3, 1), (ctx64, 3, 2), (ctx729, 2, 2), (ctx2, 4, 1)
+    ):
+        pts = b_enumerate(ctx, n_plus_1, m)
+        subs = all_subspaces(n_plus_1, ctx, include_zero=False)
         for _ in range(120):
             x = rng.choice(pts)
             W = rng.choice(subs)
             fam = dict(x.family)
-            fam[W] = rng.choice(enumerate_functionals(W.dim, ctx64, m))
-            a, _ = incidence_minors_ok(fam, ctx64)
-            b, _ = restriction_proportional_ok(fam, ctx64)
+            fam[W] = rng.choice(enumerate_functionals(W.dim, ctx, m))
+            a, wit_a = incidence_minors_ok(fam, ctx)
+            b, _ = restriction_proportional_ok(fam, ctx)
             assert a == b
+            assert (a, wit_a) == _minors_oracle(fam, ctx)
+            failed += not a
+    # at n+1 = 2 every minor vanishes: a line holds no two independent vectors
+    assert 0 < failed < 360
+
+
+def test_b_minors_and_scan_disagreeing_raise(ctx64, monkeypatch):
+    from drinfeld import points
+
+    x = b_enumerate(ctx64, 3, 1)[0]
+    monkeypatch.setattr(points, "_minors_vanish", lambda *args: False)
+    with pytest.raises(DefectSignal):
+        incidence_minors_ok(x.family, ctx64)
 
 
 def test_pi_map_hits_every_reachable_stratum(ctx64):
