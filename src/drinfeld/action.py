@@ -10,10 +10,10 @@ scalars on the twist span of a dense quotient point (fixpoint_check_omega).
 Brute force asks fixes(x, g) of every g, which answers act(x, g) == x
 without building the moved point and stops at the first mismatch.  All
 but the P test read g through g.action(), its images of the lines and
-subspaces of V found from the matrix on first use, and read a functional on
-W at W's lines through their coordinates in the rational index; the
-predicted route decides g(W) = W on W's echelon rows alone.  act, apply,
-compose and inverse stay on matrices as the oracle the tests compare that with.
+subspaces of V found from the matrix on first use; the B test reads l_W at
+W's lines from the point's line table (BPoint.on_lines), and the predicted
+route decides g(W) = W on W's echelon rows alone.  act, apply, compose and
+inverse stay on matrices as the oracle the tests compare that with.
 """
 
 import math
@@ -26,7 +26,6 @@ from .linalg import (
     Subspace,
     _subspace_order,
     apply_functional,
-    coords_to_ambient,
     normalize_functional,
     functional_ratio,
     quotient_functional,
@@ -278,13 +277,12 @@ def _fixes_test(x):
             return True
 
     elif isinstance(x, BPoint):
-        values, checks = {}, []  # l_W on the lines of W; W's rows as lines
-        for W in (W for subs in index.by_dim[:1:-1] for W in subs):
-            s = index.subspace_id[W]
-            values[s] = {
-                j: apply_functional(x.family[W], c) for j, c in index.line_coords[s].items()
-            }
-            checks.append((s, [index.line_id[r] for r in W.rows], x.family[W]))
+        # x's line table by subspace id; W's rows as lines
+        values = {index.subspace_id[W]: on_lines for W, on_lines in x.on_lines.items()}
+        checks = [
+            (index.subspace_id[W], [index.line_id[r] for r in W.rows], x.family[W])
+            for subs in index.by_dim[:1:-1] for W in subs
+        ]
 
         def test(g):
             # l_{g(W)}(g(r)) = mu * l_{g(W)}(u_j') for g(r) = mu * u_j'
@@ -432,22 +430,18 @@ class _QuotientBlock:
     whether the induced map fixes the attached dense quotient point.
 
     coords is a functional on big's coordinate space vanishing on small.
-    Built once per point: a basis of the complement of small in big's
-    coordinates, each vector as (line, scalar), the projection of big's
-    lines onto the complement coordinates, and the _DenseCovector of the
-    induced quotient covector.  Only call
-    passes(g) for g leaving big (and small) invariant.
+    Built once per point: the lines of big's echelon rows that span a
+    complement of small, the projection of big's lines onto the complement
+    coordinates, and the _DenseCovector of the induced quotient covector.
+    Only call passes(g) for g leaving big (and small) invariant.
     """
 
     __slots__ = ("basis", "to_quotient", "dense")
 
     def __init__(self, big, small, coords, ctx):
-        small_c, comp_c, by_coordinate = _quotient_projection(big, small, ctx)
+        small_c, free, by_coordinate = _quotient_projection(big, small, ctx)
         index = _subspace_order(big.n_plus_1, ctx)
-        self.basis = [
-            (index.line_id[normalize_functional(b)], next(a for a in b if a))
-            for b in coords_to_ambient(big, comp_c.rows)
-        ]
+        self.basis = [index.line_id[big.rows[i]] for i in free]
         self.to_quotient = {
             j: tuple(apply_functional(r, c) for r in zip(*by_coordinate))
             for j, c in index.line_coords[index.subspace_id[big]].items()
@@ -457,11 +451,8 @@ class _QuotientBlock:
 
     def induced_columns(self, g):
         "Images of the complement basis under g, in complement coordinates."
-        cols = []
-        for j, c in self.basis:
-            image, mu = g.action().line(j)
-            cols.append(tuple(c * mu * a for a in self.to_quotient[image]))
-        return cols
+        lines = map(g.action().line, self.basis)
+        return [tuple(mu * a for a in self.to_quotient[image]) for image, mu in lines]
 
     def passes(self, g):
         return self.dense.witness(self.induced_columns(g)) is not None

@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
 
 from .field import FieldCtx
-from .linalg import _subspace_order, all_subspaces, enumerate_flags, gaussian_binomial
+from .linalg import _MAX_STRATA, _subspace_order, all_subspaces, enumerate_flags, gaussian_binomial
 from .points import (
     _nonzero_subspace_count,
     b_enumerate_flag,
@@ -35,7 +35,6 @@ SCHEMA_VERSION = 1
 VARIETIES = ("P", "Q", "B")
 
 _MAX_POINTS = 200_000
-_MAX_STRATA = 4_000
 
 
 class StrataAtlas:

@@ -310,6 +310,10 @@ def gaussian_binomial(n, d, q):
     return num // den
 
 
+# The most strata (subspaces, or flags for B) of an atlas, and the most nonzero
+# subspaces of a B point: _subspace_order's cost is quadratic in this count.
+_MAX_STRATA = 4_000
+
 _RationalIndex = namedtuple(
     "_RationalIndex", "by_dim above subspace_id lines line_id line_coords by_lines"
 )
@@ -400,19 +404,15 @@ def enumerate_flags(n_plus_1, ctx):
 def complement(sub, within):
     """The deterministic complement of sub inside within.
 
-    In the coordinates of within's echelon basis, sub is again in echelon
-    form; the complement is spanned by the basis rows of within at sub's
-    non-pivot coordinate positions.  sub + result = within, directly.
+    Each pivot column of sub is one of within's, and in the coordinates of
+    within's echelon basis sub is again reduced echelon, its pivots at those
+    rows of within; the complement is spanned by within's other rows, so
+    sub + result = within, directly.
     """
     if not within.contains(sub):
         raise ValueError("sub is not contained in within")
-    coords = [within.coords_of(r) for r in sub.rows]
-    ech, rank = rref(coords)
-    assert rank == sub.dim
-    pivs = set()
-    for r in ech:
-        pivs.add(next(i for i, a in enumerate(r) if a))
-    rows = tuple(within.rows[i] for i in range(within.dim) if i not in pivs)
+    taken = set(sub.pivots())
+    rows = tuple(r for r, p in zip(within.rows, within.pivots()) if p not in taken)
     return Subspace(within.n_plus_1, rows)
 
 

@@ -15,7 +15,8 @@ Classification sends a point to the stratum it lies in: the rational kernel
 
 A certificate linear in the input decides each axiom (Q: r = 1/l on the span
 of its support; B: l_W, l_W' proportional on the lines of W'); the scans over
-pairs of vectors run only once it fails, to name the first witness.
+pairs of vectors run only once it fails, to name the first witness.  A BPoint
+tabulates each l_W at the lines of W once, so restricting it is a lookup.
 """
 
 from functools import lru_cache
@@ -23,6 +24,7 @@ from itertools import combinations, product
 
 from .errors import DefectSignal, InvariantViolation
 from .linalg import (
+    _MAX_STRATA,
     Flag,
     Subspace,
     _subspace_order,
@@ -94,23 +96,36 @@ class QPoint:
 
 
 class BPoint:
-    """A compatible family: one normalized functional per nonzero subspace."""
+    """A compatible family: one normalized functional per nonzero subspace.
 
-    __slots__ = ("ctx", "n_plus_1", "family")
+    on_lines[W] maps the id j of each line of W to l_W(u_j), u_j the normalized
+    vector spanning line j (its coordinates in W's basis read from the
+    rational index).  Built once, it makes the restriction of l_W to any
+    W' < W a lookup: W''s echelon rows are such vectors u_j.
+    """
+
+    __slots__ = ("ctx", "n_plus_1", "family", "on_lines")
 
     def __init__(self, ctx, n_plus_1, family, validate=True):
-        family = {W: normalize_functional(c) for W, c in family.items()}
         if not _covers(len(family), n_plus_1, _nonzero_subspace_count, ctx.q):
             raise ValueError(
                 f"family must cover all nonzero subspaces of k^{n_plus_1},"
                 f" got {len(family)}"
             )
+        if len(family) > _MAX_STRATA:
+            raise ValueError(f"{len(family)} subspaces exceed the desk-scale bound {_MAX_STRATA}")
+        family = {W: normalize_functional(c) for W, c in family.items()}
         for W, c in family.items():
             if len(c) != W.dim:
                 raise ValueError("functional length must match subspace dimension")
+        index = _subspace_order(n_plus_1, ctx)
         self.ctx = ctx
         self.n_plus_1 = n_plus_1
         self.family = family
+        self.on_lines = {
+            W: {j: apply_functional(func, c) for j, c in index.line_coords[index.subspace_id[W]].items()}
+            for W, func in family.items()
+        }
         if validate:
             result = b_validate(self)
             if not result:
@@ -325,8 +340,8 @@ def q_classify(x):
     """
     support = [v for v, val in x.table.items() if val]
     span = Subspace.span(x.n_plus_1, support)
-    expected = set(span.nonzero_vectors(x.ctx))
-    if set(support) != expected:
+    # the support lies in span minus 0, so it is all of it iff it is as large
+    if len(support) != x.ctx.q**span.dim - 1:
         raise InvariantViolation("support of a reciprocal map is not a subspace")
     return span
 
@@ -407,23 +422,15 @@ class BValidation:
         return "valid" if self else f"invalid({self.code}, witness={self.witness})"
 
 
-def _nested_pairs(family, ctx):
-    """Every (W', W) with W' < W among the family's subspaces, which are all
-    the nonzero subspaces of V: W' in canonical order, then W."""
-    n_plus_1 = next(iter(family)).n_plus_1
-    by_dim, above = _subspace_order(n_plus_1, ctx)[:2]
-    return ((small, big) for subs in by_dim[1:] for small in subs for big in above[small])
+def _nested_pairs(index):
+    """Every (W', W) with W' < W among the nonzero subspaces in the rational
+    index: W' in canonical order, then W."""
+    return ((small, big) for subs in index.by_dim[1:] for small in subs for big in index.above[small])
 
 
-def _row_coords(big, small, index):
-    "The coordinates of small's echelon rows in big's echelon basis, small <= big."
-    inside = index.line_coords[index.subspace_id[big]]
-    return [inside[index.line_id[r]] for r in small.rows]
-
-
-def _restrict(func, big, small, index):
-    "func, a functional on big, restricted to small <= big in small's basis."
-    return tuple(apply_functional(func, c) for c in _row_coords(big, small, index))
+def _restrict(x, big, small, index):
+    "l_big restricted to small <= big, in small's basis: its values at small's rows."
+    return tuple(x.on_lines[big][index.line_id[r]] for r in small.rows)
 
 
 def _minors_vanish(big, small):
@@ -434,24 +441,22 @@ def _minors_vanish(big, small):
     return lead is None or all(big[j] * small[lead] == big[lead] * a for j, a in small.items())
 
 
-def incidence_minors_ok(family, ctx):
-    """Test (a): all 2x2 minors across nested pairs of subspaces vanish.
+def incidence_minors_ok(x):
+    """Test (a): all 2x2 minors across nested pairs of subspaces vanish in x.
 
     Returns (ok, witness); the witness is (W, W', v, v') for the first
-    violated minor.  Each pair is decided on W''s lines; the scan over its
-    vectors only names the witness, for the first pair that fails.
+    violated minor.  Each pair is decided on W''s lines, read from x's line
+    table; the scan over its vectors only names the witness, for the first
+    pair that fails.
     """
-    index = _subspace_order(next(iter(family)).n_plus_1, ctx)
-    on_lines = {
-        W: {j: apply_functional(func, c) for j, c in index.line_coords[index.subspace_id[W]].items()}
-        for W, func in family.items()
-    }
-    for small, big in _nested_pairs(family, ctx):
+    ctx = x.ctx
+    index = _subspace_order(x.n_plus_1, ctx)
+    for small, big in _nested_pairs(index):
         # any two vectors of a line are proportional, so its minors vanish
-        if small.dim == 1 or _minors_vanish(on_lines[big], on_lines[small]):
+        if small.dim == 1 or _minors_vanish(x.on_lines[big], x.on_lines[small]):
             continue
-        restriction = _restrict(family[big], big, small, index)
-        values = [(v, apply_functional(restriction, c), apply_functional(family[small], c))
+        restriction = _restrict(x, big, small, index)
+        values = [(v, apply_functional(restriction, c), apply_functional(x.family[small], c))
                   for v, c in zip(small.vectors(ctx), product(ctx.k_elements, repeat=small.dim)) if any(c)]
         for (v, big_v, small_v), (w, big_w, small_w) in combinations(values, 2):
             if big_v * small_w != big_w * small_v:
@@ -460,15 +465,13 @@ def incidence_minors_ok(family, ctx):
     return True, None
 
 
-def restriction_proportional_ok(family, ctx):
-    """Test (b): the restriction of l_W to each W' < W is c * l_W' for some
-    scalar c, zero allowed.  Returns (ok, witness)."""
-    index = _subspace_order(next(iter(family)).n_plus_1, ctx)
-    for small, big in _nested_pairs(family, ctx):
-        restriction = _restrict(family[big], big, small, index)
-        if not any(restriction):
-            continue
-        if functional_ratio(restriction, family[small]) is None:
+def restriction_proportional_ok(x):
+    """Test (b): in the BPoint x, the restriction of l_W to each W' < W is
+    c * l_W' for some scalar c, zero allowed.  Returns (ok, witness)."""
+    index = _subspace_order(x.n_plus_1, x.ctx)
+    for small, big in _nested_pairs(index):
+        restriction = _restrict(x, big, small, index)
+        if any(restriction) and functional_ratio(restriction, x.family[small]) is None:
             return False, (big, small)
     return True, None
 
@@ -480,14 +483,13 @@ def b_validate(x_or_family, ctx=None):
     that is truthy iff the family is compatible; raises DefectSignal if the
     two equivalent tests ever disagree.
     """
-    if isinstance(x_or_family, BPoint):
-        family, ctx = x_or_family.family, x_or_family.ctx
-    else:
-        family = x_or_family
+    x = x_or_family
+    if not isinstance(x, BPoint):
         if ctx is None:
             raise ValueError("ctx required for a raw family")
-    minor_ok, minor_wit = incidence_minors_ok(family, ctx)
-    prop_ok, prop_wit = restriction_proportional_ok(family, ctx)
+        x = BPoint(ctx, next(iter(x)).n_plus_1, x, validate=False)
+    minor_ok, minor_wit = incidence_minors_ok(x)
+    prop_ok, prop_wit = restriction_proportional_ok(x)
     if minor_ok != prop_ok:
         raise DefectSignal(
             f"minor test ({minor_ok}) and proportionality test ({prop_ok}) disagree"
@@ -518,7 +520,8 @@ def b_classify(x):
     Starting from the whole space, intersect each member with the rational
     kernel of its functional until {0}.  As a cross-check, the members must
     be exactly the subspaces V' whose every strict superspace W has
-    l_W vanishing on V' (the exceptional-divisor membership test).
+    l_W vanishing on V' (the exceptional-divisor membership test, read from
+    the line table).
     """
     chain = _kernel_chain(x)
     flag = Flag(x.n_plus_1, tuple(reversed(chain)))
@@ -527,7 +530,7 @@ def b_classify(x):
         cand
         for cand in x.family
         if cand.dim < x.n_plus_1
-        and not any(any(_restrict(x.family[W], W, cand, index)) for W in index.above[cand])
+        and not any(any(_restrict(x, W, cand, index)) for W in index.above[cand])
     }
     if divisors != set(chain):
         raise InvariantViolation(
@@ -542,39 +545,34 @@ def b_from_flag_data(flag, parts, ctx):
     With the descending chain V = C_0 > C_1 > ... > C_last = {0} through the
     flag members, parts[t] is a functional on the complement coordinates of
     C_{t+1} inside C_t with trivial rational kernel in that quotient.  The
-    member functionals are parts composed with the projections; every other
-    subspace W inherits the restriction from the smallest chain member
-    containing it not inside the next one.
+    member functionals are parts composed with the projections, tabulated
+    once on their members' lines; every other subspace W inherits the
+    restriction from the smallest chain member containing it not inside the
+    next one, read off that table at W's rows and normalized.
     """
     chain = flag.chain(ctx)
     if len(parts) != len(chain) - 1:
         raise ValueError(f"need {len(chain) - 1} quotient parts, got {len(parts)}")
     n_plus_1 = flag.n_plus_1
-    member_funcs = {}
+    index = _subspace_order(n_plus_1, ctx)
+    inside = [index.line_coords[index.subspace_id[C]] for C in chain]
+    on_lines = []
     for t in range(len(chain) - 1):
-        big = chain[t]
-        _, comp_c, by_coordinate = _quotient_projection(big, chain[t + 1], ctx)
+        _, free, by_coordinate = _quotient_projection(chain[t], chain[t + 1], ctx)
         part = tuple(parts[t])
-        if len(part) != comp_c.dim:
+        if len(part) != len(free):
             raise ValueError("part length must match the quotient dimension")
         if rational_kernel(part, ctx).dim != 0:
             raise ValueError("part must have trivial rational kernel in its quotient")
-        # value on the j-th coordinate basis vector of big: project along small
-        member_funcs[big] = normalize_functional(
-            tuple(apply_functional(part, row) for row in by_coordinate)
-        )
+        # value on the i-th coordinate basis vector of C_t: project along C_{t+1}
+        func = tuple(apply_functional(part, row) for row in by_coordinate)
+        on_lines.append({j: apply_functional(func, c) for j, c in inside[t].items()})
     family = {}
-    index = _subspace_order(n_plus_1, ctx)
-    inside = [index.line_coords[index.subspace_id[C]] for C in chain]
     for W in all_subspaces(n_plus_1, ctx, include_zero=False):
         t, rows = 0, [index.line_id[r] for r in W.rows]
         while all(j in inside[t + 1] for j in rows):  # W <= chain[t + 1]
             t += 1
-        big = chain[t]
-        if W == big:
-            family[W] = member_funcs[big]
-        else:
-            family[W] = normalize_functional(_restrict(member_funcs[big], big, W, index))
+        family[W] = normalize_functional(on_lines[t][j] for j in rows)
     # compatible by construction, which the test suites check with b_validate;
     # the classification roundtrip is checked here, on every point built
     x = BPoint(ctx, n_plus_1, family, validate=False)
@@ -584,35 +582,26 @@ def b_from_flag_data(flag, parts, ctx):
 
 
 def _quotient_projection(big, small, ctx):
-    """small in big's coordinates, its complement there, and the projection
-    along small onto the complement coordinates: row j of the last holds the
-    complement coordinates of big's j-th coordinate vector."""
-    small_c = Subspace.span(big.dim, _row_coords(big, small, _subspace_order(big.n_plus_1, ctx)))
-    # in coordinates the whole space is the identity's rows, so the complement
-    # of small_c is spanned by those at its non-pivot positions
-    full, pivots = Subspace.full(big.dim, ctx), small_c.pivots()
-    comp_c = Subspace(big.dim, tuple(e for i, e in enumerate(full.rows) if i not in pivots))
-    basis_rows = list(small_c.rows) + list(comp_c.rows)
+    """small in big's coordinates, the positions of the coordinate vectors e_i
+    spanning a complement there, and the projection along small onto the
+    complement coordinates: row i of the last holds the projection of e_i.
+
+    small's rows in big's coordinates, read from the rational index, are
+    already reduced echelon, and the e_i off their pivots span the complement:
+    such an e_i projects to itself, and e_i at the pivot of row r, which is r
+    minus r's entries at those free positions, to minus those entries.
+    """
+    index = _subspace_order(big.n_plus_1, ctx)
+    inside = index.line_coords[index.subspace_id[big]]
+    small_c = Subspace(big.dim, tuple(inside[index.line_id[r]] for r in small.rows))
+    at_pivot = dict(zip(small_c.pivots(), small_c.rows))
+    free = [i for i in range(big.dim) if i not in at_pivot]
+    unit = Subspace.full(big.dim, ctx).rows
     by_coordinate = [
-        _solve_in_basis(basis_rows, e_j, ctx)[small_c.dim :] for e_j in full.rows
+        tuple(-at_pivot[i][f] if i in at_pivot else unit[i][f] for f in free)
+        for i in range(big.dim)
     ]
-    return small_c, comp_c, by_coordinate
-
-
-def _solve_in_basis(rows, v, ctx):
-    "Coefficients x with sum x_i rows_i = v; rows independent."
-    width = len(v)
-    aug = []
-    for i in range(width):
-        aug.append([r[i] for r in rows] + [v[i]])
-    ech, rank = rref(aug)
-    sol = [ctx.zero] * len(rows)
-    for r in ech:
-        piv = next(i for i, a in enumerate(r) if a)
-        if piv == len(rows):
-            raise ValueError("vector not in the span")
-        sol[piv] = r[-1]
-    return tuple(sol)
+    return small_c, free, by_coordinate
 
 
 def b_enumerate(ctx, n_plus_1, m):
@@ -704,13 +693,17 @@ def subspace_str(sub, ctx):
 def subspace_from_str(s, ctx, n_plus_1):
     if s == "0":
         return Subspace.zero(n_plus_1)
-    rows = [vector_from_str(t, ctx) for t in s.split(";")]
+    rows = tuple(vector_from_str(t, ctx) for t in s.split(";"))
     if any(len(r) != n_plus_1 for r in rows):
         raise ValueError(f"subspace {s!r} has a vector without {n_plus_1} entries")
-    sub = Subspace.span(n_plus_1, rows)
-    if sub.rows != tuple(rows):
+    # reduced echelon form: pivots increase, and at them the rows are the identity
+    pivots = [next((i for i, a in enumerate(r) if a), 0) for r in rows]
+    if pivots != sorted(pivots) or any(
+        r[p] != (ctx.one if i == t else ctx.zero)
+        for i, r in enumerate(rows) for t, p in enumerate(pivots)
+    ):
         raise ValueError("subspace rows are not in canonical echelon form")
-    return sub
+    return Subspace(n_plus_1, rows)
 
 
 def flag_str(flag, ctx):

@@ -36,6 +36,7 @@ from .linalg import (
     rational_kernel,
 )
 from .points import (
+    BPoint,
     PPoint,
     b_classify,
     b_enumerate,
@@ -293,8 +294,8 @@ def _b_two_tests(cfg):
         pts = b_enumerate(ctx, n_plus_1, m)
         subs = all_subspaces(n_plus_1, ctx, include_zero=False)
         for x in pts:
-            a, _ = incidence_minors_ok(x.family, ctx)
-            b, _ = restriction_proportional_ok(x.family, ctx)
+            a, _ = incidence_minors_ok(x)
+            b, _ = restriction_proportional_ok(x)
             if not a or not b:
                 return False, "constructed family failed validation", checked
         for _ in range(cfg.perturbations):
@@ -302,8 +303,9 @@ def _b_two_tests(cfg):
             W = rng.choice(subs)
             fam = dict(x.family)
             fam[W] = rng.choice(enumerate_functionals(W.dim, ctx, m))
-            a, wit_a = incidence_minors_ok(fam, ctx)
-            b, wit_b = restriction_proportional_ok(fam, ctx)
+            y = BPoint(ctx, n_plus_1, fam, validate=False)
+            a, wit_a = incidence_minors_ok(y)
+            b, wit_b = restriction_proportional_ok(y)
             if a != b:
                 detail = f"tests disagree ({a} vs {b}) at witness {wit_a or wit_b}"
                 return False, detail, checked

@@ -188,6 +188,38 @@ def _b_point_obj(n_plus_1, family):
     return {"kind": "B", "field": field_to_obj(ctx), "data": data}
 
 
+def _b_plane_obj(p):
+    """The B point over GF(p) at n+1 = 2 with functional (1, 0) on V, whose
+    stratum is the line 0,1: every line carries (1,)."""
+    family = {f"1,{a}": [[1]] for a in range(p)}
+    family["0,1"] = [[1]]
+    family["1,0;0,1"] = [[1], [0]]
+    field = {"p": p, "e": 1, "D": 1, "modulus": [0, 1]}
+    return {"kind": "B", "field": field, "data": {"n_plus_1": 2, "family": family}}
+
+
+def test_b_point_with_too_many_subspaces_is_an_error():
+    # 65,523 subspaces: past the desk-scale bound, refused before the rational
+    # index, which tests every line against every subspace, is built
+    lines = _fast_error(_b_plane_obj(65521))
+    assert all("desk-scale" in line for line in lines)
+
+
+def test_b_point_over_gf_1021_classifies():
+    proc = run_cli(["classify", "--format", "json"],
+                   stdin=json.dumps(_b_plane_obj(1021)).encode(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"stratum": "0,1", "valid": True, "variety": "B"}
+
+
+def test_b_point_json_key_rows_not_reduced_is_an_error():
+    # the full space with a row not reduced, then with its pivots out of order
+    for key in ("1,1;0,1", "0,1;1,0"):
+        obj = _b_plane_obj(2)
+        obj["data"]["family"][key] = obj["data"]["family"].pop("1,0;0,1")
+        assert all("echelon" in line for line in _fast_error(obj))
+
+
 def test_point_json_zero_n_plus_1_is_an_error():
     # classify used to call this family valid, with stratum "()"
     _fast_error(_b_point_obj(0, {}))

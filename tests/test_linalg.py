@@ -338,9 +338,40 @@ def test_quotient_functional_factorization(ctx64):
 
 
 def _decompose(rows, v, ctx):
-    from drinfeld.points import _solve_in_basis
+    "Coefficients x with sum x_i rows_i = v, rows independent: one rref."
+    aug = [[r[i] for r in rows] + [v[i]] for i in range(len(v))]
+    ech, _ = rref(aug)
+    sol = [ctx.zero] * len(rows)
+    for r in ech:
+        piv = next(i for i, a in enumerate(r) if a)
+        if piv == len(rows):
+            raise ValueError("vector not in the span")
+        sol[piv] = r[-1]
+    return tuple(sol)
 
-    return _solve_in_basis(rows, v, ctx)
+
+@pytest.mark.parametrize("p, n_plus_1", [(2, 3), (3, 3), (2, 4)])
+def test_quotient_projection_against_basis_solve(p, n_plus_1):
+    # at every nested pair small < big, zero included: small's rows in big's
+    # coordinates are their rref, and the projection of each e_j matches the
+    # complement part of e_j solved in the basis small + complement, one rref
+    from drinfeld.points import _quotient_projection
+
+    ctx = context_for(p, 1, n_plus_1, [1])
+    index = _subspace_order(n_plus_1, ctx)
+    pairs = 0
+    for small in (W for subs in index.by_dim for W in subs):
+        for big in index.above[small]:
+            small_c, free, by_coordinate = _quotient_projection(big, small, ctx)
+            assert small_c == Subspace.span(big.dim, [big.coords_of(r) for r in small.rows])
+            full = Subspace.full(big.dim, ctx)
+            basis = list(small_c.rows) + [full.rows[i] for i in free]
+            assert rref(basis)[1] == big.dim
+            # complement keeps big's rows off the pivots of small_c, the rref
+            assert complement(small, big).rows == tuple(big.rows[i] for i in free)
+            assert by_coordinate == [_decompose(basis, e, ctx)[small_c.dim :] for e in full.rows]
+            pairs += 1
+    assert pairs == sum(len(above) for above in index.above.values())
 
 
 def test_quotient_functional_rejects_nonvanishing(ctx64):

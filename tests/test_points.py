@@ -464,6 +464,37 @@ def test_count_classifies_each_b_point_once(ctx64, monkeypatch):
     assert set(calls.values()) == {1}
 
 
+@pytest.mark.parametrize("p, n_plus_1, m", [(2, 3, 1), (2, 3, 2), (3, 3, 1), (2, 4, 1)])
+def test_b_line_table_is_each_functional_at_each_line(p, n_plus_1, m):
+    # on_lines[W][j] = l_W(u_j) with u_j's coordinates solved by coords_of, on
+    # every enumerated point and on points decoded from JSON or moved by g
+    from drinfeld.action import GroupElement, act_B
+    from drinfeld.linalg import _subspace_order, rref
+
+    ctx = context_for(p, 1, n_plus_1, [m])
+    lines = _subspace_order(n_plus_1, ctx).lines
+    members = {
+        W: [j for j, u in enumerate(lines) if W.contains_vector(u)]
+        for W in all_subspaces(n_plus_1, ctx, include_zero=False)
+    }
+
+    def check(x):
+        assert set(x.on_lines) == set(members)
+        for W, func in x.family.items():
+            assert x.on_lines[W] == {j: apply_functional(func, W.coords_of(lines[j])) for j in members[W]}
+
+    pts = b_enumerate(ctx, n_plus_1, m)
+    for x in pts:
+        check(x)
+    rng = random.Random(3)
+    for x in rng.sample(pts, 10):
+        check(point_from_obj(json.loads(json.dumps(point_to_obj(x)))))
+        rows = None
+        while rows is None or rref(rows)[1] < n_plus_1:
+            rows = [[rng.choice(ctx.k_elements) for _ in range(n_plus_1)] for _ in range(n_plus_1)]
+        check(act_B(x, GroupElement(ctx, rows)))
+
+
 def test_b_validate_detects_perturbation(ctx64):
     # replacing one plane functional of a dense point breaks a minor, and
     # both tests must agree on that
@@ -475,8 +506,9 @@ def test_b_validate_detects_perturbation(ctx64):
         if cand != fam[plane]:
             fam[plane] = cand
             break
-    a, wit_a = incidence_minors_ok(fam, ctx64)
-    b, wit_b = restriction_proportional_ok(fam, ctx64)
+    y = BPoint(ctx64, 3, fam, validate=False)
+    a, wit_a = incidence_minors_ok(y)
+    b, wit_b = restriction_proportional_ok(y)
     assert a == b and not a and wit_a is not None
     assert (a, wit_a) == _minors_oracle(fam, ctx64)
     assert not b_validate(fam, ctx64)
@@ -516,8 +548,9 @@ def test_b_two_tests_agree_on_random_perturbations(ctx64, ctx729):
             W = rng.choice(subs)
             fam = dict(x.family)
             fam[W] = rng.choice(enumerate_functionals(W.dim, ctx, m))
-            a, wit_a = incidence_minors_ok(fam, ctx)
-            b, _ = restriction_proportional_ok(fam, ctx)
+            y = BPoint(ctx, n_plus_1, fam, validate=False)
+            a, wit_a = incidence_minors_ok(y)
+            b, _ = restriction_proportional_ok(y)
             assert a == b
             assert (a, wit_a) == _minors_oracle(fam, ctx)
             failed += not a
@@ -531,7 +564,7 @@ def test_b_minors_and_scan_disagreeing_raise(ctx64, monkeypatch):
     x = b_enumerate(ctx64, 3, 1)[0]
     monkeypatch.setattr(points, "_minors_vanish", lambda *args: False)
     with pytest.raises(DefectSignal):
-        incidence_minors_ok(x.family, ctx64)
+        incidence_minors_ok(x)
 
 
 def test_pi_map_hits_every_reachable_stratum(ctx64):
