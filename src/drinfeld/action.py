@@ -9,11 +9,11 @@ scalars on the twist span of a dense quotient point (fixpoint_check_omega).
 
 Brute force asks fixes(x, g) of every g, which answers act(x, g) == x
 without building the moved point and stops at the first mismatch.  All
-but the P test read g through g.action(), its images of the lines and
-subspaces of V found from the matrix on first use; the B test reads l_W at
-W's lines from the point's line table (BPoint.on_lines), and the predicted
-route decides g(W) = W on W's echelon rows alone.  act, apply, compose and
-inverse stay on matrices as the oracle the tests compare that with.
+but the P test read g's _Action, its images of the lines and subspaces of
+V found from the matrix on first use and kept in a bounded cache per field
+context; the B test reads l_W at W's lines from BPoint.on_lines, and the
+predicted route decides g(W) = W on W's echelon rows alone.  act, apply,
+compose and inverse stay on matrices as the oracle the tests compare with.
 """
 
 import math
@@ -21,6 +21,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import DefectSignal, InvariantViolation
+from .field import per_field
 from .linalg import (
     Flag,
     Subspace,
@@ -99,10 +100,9 @@ class GroupElement:
             raise ValueError("matrix not invertible")
         return GroupElement(ctx, [r[n:] for r in ech])
 
-    @lru_cache(maxsize=1 << 13)
     def action(self):
-        "g's _Action, in a bounded cache: a large group's images are not kept."
-        return _Action(self)
+        "g's _Action, from its context's cache."
+        return _actions(self.ctx)(self)
 
     def order(self):
         "The order in PGL: the lcm of the cycle lengths of the line permutation."
@@ -133,8 +133,12 @@ class GroupElement:
         return f"GroupElement({self.matrix})"
 
 
+# g -> g's _Action over one field, in a bounded cache: a large group's images are not kept
+_actions = per_field(lambda ctx: lru_cache(maxsize=1 << 13)(_Action))
+
+
 class _Action:
-    """g on the ids of _subspace_order(n+1, ctx).  line(j) is (j', mu) with
+    """g on the ids of _subspace_order(ctx, n+1).  line(j) is (j', mu) with
     g(u_j) = mu * u_j', u_j the normalized vector spanning line j, found from
     the matrix on first use and kept; subspace(s) is the id of g(W_s).  The
     line permutation is faithful on PGL, so it stands in for g in products,
@@ -143,7 +147,7 @@ class _Action:
     __slots__ = ("g", "index", "_lines")
 
     def __init__(self, g):
-        self.g, self.index = g, _subspace_order(g.n_plus_1, g.ctx)
+        self.g, self.index = g, _subspace_order(g.ctx, g.n_plus_1)
         self._lines = [None] * len(self.index.lines)
 
     def line(self, j):
@@ -172,8 +176,8 @@ def pgl_order(n_plus_1, q):
     return order // (q - 1)
 
 
-@lru_cache(maxsize=None)
-def _enumerate_pgl_cached(n_plus_1, ctx):
+@per_field
+def _enumerate_pgl_cached(ctx, n_plus_1):
     bound = 10**5
     if pgl_order(n_plus_1, ctx.q) > bound:
         raise ValueError(
@@ -195,7 +199,7 @@ def _enumerate_pgl_cached(n_plus_1, ctx):
 
 def enumerate_pgl(n_plus_1, ctx):
     "All elements of PGL(n+1)(k) as canonical representatives, sorted."
-    return list(_enumerate_pgl_cached(n_plus_1, ctx))
+    return list(_enumerate_pgl_cached(ctx, n_plus_1))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +256,7 @@ def _fixes_test(x):
     subspaces carry the most constraints, so most group elements fail on the
     first few; lines are skipped, as a normalized functional on a line is
     (1,), whatever the point and g."""
-    index = _subspace_order(x.n_plus_1, x.ctx)
+    index, actions = _subspace_order(x.ctx, x.n_plus_1), _actions(x.ctx)
     if isinstance(x, PPoint):
         vectors = product(x.ctx.k_elements, repeat=x.n_plus_1)
         values = {v: apply_functional(x.coords, v) for v in vectors}
@@ -267,7 +271,7 @@ def _fixes_test(x):
 
         def test(g):
             # r(g(u_j)) = r(mu * u_j') = r(u_j') / mu must be lam * r(u_j)
-            action = g.action()
+            action = actions(g)
             image, mu = action.line(first)
             lam = values[image] * (mu * values[first]).inverse()
             for j, val in enumerate(values):
@@ -286,7 +290,7 @@ def _fixes_test(x):
 
         def test(g):
             # l_{g(W)}(g(r)) = mu * l_{g(W)}(u_j') for g(r) = mu * u_j'
-            action = g.action()
+            action = actions(g)
             for s, rows, func in checks:
                 image = values[action.subspace(s)]
                 pulled = [mu * image[j] for j, mu in map(action.line, rows)]
@@ -436,11 +440,11 @@ class _QuotientBlock:
     Only call passes(g) for g leaving big (and small) invariant.
     """
 
-    __slots__ = ("basis", "to_quotient", "dense")
+    __slots__ = ("actions", "basis", "to_quotient", "dense")
 
     def __init__(self, big, small, coords, ctx):
         small_c, free, by_coordinate = _quotient_projection(big, small, ctx)
-        index = _subspace_order(big.n_plus_1, ctx)
+        index, self.actions = _subspace_order(ctx, big.n_plus_1), _actions(ctx)
         self.basis = [index.line_id[big.rows[i]] for i in free]
         self.to_quotient = {
             j: tuple(apply_functional(r, c) for r in zip(*by_coordinate))
@@ -451,7 +455,7 @@ class _QuotientBlock:
 
     def induced_columns(self, g):
         "Images of the complement basis under g, in complement coordinates."
-        lines = map(g.action().line, self.basis)
+        lines = map(self.actions(g).line, self.basis)
         return [tuple(mu * a for a in self.to_quotient[image]) for image, mu in lines]
 
     def passes(self, g):
@@ -479,7 +483,7 @@ def _predicted_blocks(x):
             _QuotientBlock(chain[t], chain[t + 1], x.family[chain[t]], ctx)
             for t in range(len(chain) - 1)
         ]
-    index = _subspace_order(x.n_plus_1, ctx)
+    index = _subspace_order(ctx, x.n_plus_1)
     return [(index.line_id[r], index.line_coords[index.subspace_id[m]])
             for m in flag.members for r in m.rows], blocks
 
@@ -496,10 +500,10 @@ def stabilizer_predicted(x, group=None):
     if group is None:
         group = enumerate_pgl(x.n_plus_1, x.ctx)
     invariant, blocks = _predicted_blocks(x)
-    out = []
+    actions, out = _actions(x.ctx), []
     for g in group:
         # g is invertible, so g(W) inside W, read on W's rows, means g(W) = W
-        action = g.action()
+        action = actions(g)
         if not all(action.line(j)[0] in inside for j, inside in invariant):
             continue
         if all(block.passes(g) for block in blocks):

@@ -17,7 +17,6 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
 
-from .field import FieldCtx
 from .linalg import _MAX_STRATA, _subspace_order, all_subspaces, enumerate_flags, gaussian_binomial
 from .points import (
     _nonzero_subspace_count,
@@ -93,7 +92,7 @@ def _closure_pairs(variety, nodes, n_plus_1, ctx):
         flag = {f.members: f for f in nodes}  # a < b iff a's members are a proper sub-chain of b's
         return [(flag[c], b) for b in nodes for r in range(len(b.members))
                 for c in combinations(b.members, r)]
-    above = _subspace_order(n_plus_1, ctx).above
+    above = _subspace_order(ctx, n_plus_1).above
     if variety == "P":
         return [(a, b) for a in nodes for b in above[a] if b.dim < n_plus_1]
     return [(a, b) for b in nodes for a in above[b]]
@@ -137,9 +136,8 @@ def _check_desk_scale(variety, n_plus_1, q, m_list):
 _WORKER = {}
 
 
-def _worker_init(params):
-    p, e, D, modulus, variety, n_plus_1 = params
-    ctx = FieldCtx(p, e, D, modulus)
+def _worker_init(ctx, variety, n_plus_1):
+    "A worker's context, unpickled to its live one, and strata to count."
     _WORKER["ctx"] = ctx
     _WORKER["variety"] = variety
     _WORKER["n_plus_1"] = n_plus_1
@@ -175,16 +173,16 @@ def _tasks_for(variety, n_plus_1, ctx, m):
 
 def count_stratum_points(variety, n_plus_1, ctx, m, jobs=1):
     "Counts per stratum key over k_m by enumeration + classification."
-    params = (ctx.p, ctx.e, ctx.D, ctx.modulus, variety, n_plus_1)
     tasks = _tasks_for(variety, n_plus_1, ctx, m)
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_worker_init, initargs=(params,)
+            max_workers=jobs, initializer=_worker_init, initargs=(ctx, variety, n_plus_1)
         ) as pool:
             results = list(pool.map(_count_task, tasks))
     else:
-        _worker_init(params)
+        _worker_init(ctx, variety, n_plus_1)
         results = [_count_task(t) for t in tasks]
+        _WORKER.clear()  # so the last count does not keep its context alive
     counts = Counter()
     for result in results:
         counts.update(result)  # every count is positive: empty strata stay absent

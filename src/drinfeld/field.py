@@ -11,12 +11,13 @@ sort as coefficient tuples do.  Each context holds one Element per code and,
 over a primitive element g, log tables and Zech's logarithms log(1 + g^n)
 (Lidl & Niederreiter, Finite Fields, ch. 9): every operation is one table
 step.  Polynomial arithmetic is left to the irreducibility test and the
-table build.
+table build.  Whatever else is built for a field, by a @per_field function,
+is kept on its context and freed with it.
 """
 
 import math
 import weakref
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import product
 
 
@@ -184,6 +185,16 @@ def _field_key(p, e, D, modulus):
     return p, e, D, modulus
 
 
+def per_field(build):
+    "build(ctx, *args), never None, made once and kept in the context's memo: freed with it."
+    def cached(ctx, *args):
+        key = (build, *args)
+        if (found := ctx._memo.get(key)) is None:
+            found = ctx._memo[key] = build(ctx, *args)
+        return found
+    return wraps(build)(cached)
+
+
 # The live contexts by _field_key: FieldCtx(...) returns the one already
 # built for a field while anything still holds it.
 _LIVE = weakref.WeakValueDictionary()
@@ -201,7 +212,10 @@ class FieldCtx:
     included, so equal contexts are the same object, equality is identity,
     and so are their elements.  The tables are built once, by the first
     call; a call that raises builds and keeps nothing.  Unpickling, in a
-    worker process too, returns that process's live context.
+    worker process too, returns that process's live context.  What
+    @per_field functions build for the field is kept on it and freed with it.
+    k_basis = (1, a, ..., a^(e-1)) is an F_p-basis of k: a = g^((p^D-1)/(q-1))
+    generates k^x, so it has degree e.
     """
 
     def __new__(cls, p, e, D, modulus=None):
@@ -238,6 +252,9 @@ class FieldCtx:
         self._half = order // 2 if p > 2 else 0
         self._zech_minus = self._zech[self._half:] + self._zech[: self._half]
         self._inv_q = pow(self.q, D // e - 1, order)
+        self._memo = {}
+        self.k_elements = self.subfield_elements(1)
+        self.k_basis = tuple(self._antilog[i * (order // (self.q - 1))] for i in range(e))
         _LIVE[p, e, D, modulus] = self
 
     def element(self, coeffs):
@@ -268,17 +285,13 @@ class FieldCtx:
         order = self._order
         return not a.code or a.log * (pow(self.q, m, order) - 1) % order == 0
 
-    @lru_cache(maxsize=None)
+    @per_field
     def subfield_elements(self, m):
         "All q^m elements of k_m, sorted: 0 and the powers of g^((p^D-1)/(q^m-1))."
         if self.D % (m * self.e) != 0:
             raise ValueError(f"k_{m} does not embed in GF({self.p}^{self.D})")
         step = self._order // (self.q**m - 1)
         return tuple(sorted([self.zero] + self._antilog[: self._order : step]))
-
-    @property
-    def k_elements(self):
-        return self.subfield_elements(1)
 
     def __reduce__(self):
         return (FieldCtx, (self.p, self.e, self.D, self.modulus))

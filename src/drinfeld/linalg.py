@@ -7,10 +7,9 @@ subspaces, ordered ascending (smallest member first).
 """
 
 from collections import namedtuple
-from functools import lru_cache
 from itertools import combinations, product
 
-from .field import _int_kernel_mod_p, _int_rref_mod_p
+from .field import _int_kernel_mod_p, per_field
 
 
 def rref(rows):
@@ -264,8 +263,7 @@ def rational_kernel(coords, ctx):
     system is solved exactly, and the solution set is returned in canonical
     echelon form over k (it is automatically a k-subspace).
     """
-    n_plus_1 = len(coords)
-    k_basis = _k_basis(ctx)
+    n_plus_1, k_basis = len(coords), ctx.k_basis
     # unknowns: F_p-coordinates c_{j,t} of v_j = sum_t c_{j,t} beta_t
     cols = []
     for j in range(n_plus_1):
@@ -287,16 +285,6 @@ def rational_kernel(coords, ctx):
     return Subspace.span(n_plus_1, vectors)
 
 
-@lru_cache(maxsize=None)
-def _k_basis(ctx):
-    "An F_p-basis of k inside the ambient field."
-    els = ctx.subfield_elements(1)
-    rows = [list(a.coeffs) for a in els]
-    ech, pivots = _int_rref_mod_p(rows, ctx.p)
-    assert len(pivots) == ctx.e
-    return tuple(ctx.element(r) for r in ech)
-
-
 def gaussian_binomial(n, d, q):
     "Number of d-dimensional subspaces of an n-dimensional space over F_q."
     if d < 0 or d > n:
@@ -311,7 +299,7 @@ def gaussian_binomial(n, d, q):
 
 
 # The most strata (subspaces, or flags for B) of an atlas, and the most nonzero
-# subspaces of a B point: _subspace_order's cost is quadratic in this count.
+# subspaces of a B point: _subspace_order's `above` is quadratic in this count.
 _MAX_STRATA = 4_000
 
 _RationalIndex = namedtuple(
@@ -319,8 +307,8 @@ _RationalIndex = namedtuple(
 )
 
 
-@lru_cache(maxsize=None)
-def _subspace_order(n_plus_1, ctx):
+@per_field
+def _subspace_order(ctx, n_plus_1):
     """The subspaces of k^(n+1) as a _RationalIndex: by_dim[d] the d-dimensional
     ones, canonical and sorted; above[W] W's strict superspaces in that order;
     subspace_id[W] W's position in by_dim read in order.  Line j (in by_dim[1]'s
@@ -329,6 +317,8 @@ def _subspace_order(n_plus_1, ctx):
     coordinates in W_s's echelon basis (entries at its pivots); by_lines
     inverts their bitset.  Echelon rows are normalized line vectors, so a row
     r of W' <= W_s has coordinates line_coords[s][line_id[r]], with no solving.
+    W_s's rows being reduced echelon, sum c_i r_i is a normalized line vector
+    exactly when c is, and c is then its coordinates: W_s's lines come from c.
 
     Echelon parametrisation: choose pivot columns, then fill every entry
     that sits right of its row's pivot and is not itself a pivot column.
@@ -354,9 +344,12 @@ def _subspace_order(n_plus_1, ctx):
         by_dim.append(tuple(subs))
     # an echelon row is normalized: its first nonzero entry is its pivot, 1
     lines = tuple(L.rows[0] for L in by_dim[1])
+    line_id = {u: j for j, u in enumerate(lines)}
     subspaces = [W for subs in by_dim for W in subs]
+    # the normalized c of length d: ends of the lines of k^(n+1) zero before them
+    tails = [[]] + [[u[-d:] for u in lines if not any(u[:-d])] for d in range(1, n_plus_1 + 1)]
     line_coords = tuple(
-        {j: tuple(u[p] for p in W.pivots()) for j, u in enumerate(lines) if W.contains_vector(u)}
+        dict(sorted(zip(map(line_id.get, coords_to_ambient(W, tails[W.dim])), tails[W.dim])))
         for W in subspaces
     )
     # a subspace is the span of its lines, so a < b iff a's lines are b's
@@ -369,7 +362,7 @@ def _subspace_order(n_plus_1, ctx):
     }
     return _RationalIndex(
         tuple(by_dim), above, {W: s for s, W in enumerate(subspaces)}, lines,
-        {u: j for j, u in enumerate(lines)}, line_coords, {b: s for s, b in enumerate(bits)},
+        line_id, line_coords, {b: s for s, b in enumerate(bits)},
     )
 
 
@@ -377,20 +370,20 @@ def enumerate_subspaces(n_plus_1, d, ctx):
     "All d-dimensional k-subspaces of k^(n+1), canonical and sorted."
     if d < 0 or d > n_plus_1:
         raise ValueError(f"dimension {d} out of range")
-    return list(_subspace_order(n_plus_1, ctx).by_dim[d])
+    return list(_subspace_order(ctx, n_plus_1).by_dim[d])
 
 
 def all_subspaces(n_plus_1, ctx, include_zero=True, include_full=True):
     lo = 0 if include_zero else 1
     hi = n_plus_1 if include_full else n_plus_1 - 1
-    by_dim = _subspace_order(n_plus_1, ctx).by_dim
+    by_dim = _subspace_order(ctx, n_plus_1).by_dim
     return [W for d in range(lo, hi + 1) for W in by_dim[d]]
 
 
 def enumerate_flags(n_plus_1, ctx):
     """All flags of k^(n+1): strictly increasing chains of proper nonzero
     subspaces, the empty chain included.  Deterministic order."""
-    by_dim, above = _subspace_order(n_plus_1, ctx)[:2]
+    by_dim, above = _subspace_order(ctx, n_plus_1)[:2]
     chains = [()]
     grow = [(s,) for subs in by_dim[1:n_plus_1] for s in subs]
     while grow:

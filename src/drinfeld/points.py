@@ -19,10 +19,10 @@ pairs of vectors run only once it fails, to name the first witness.  A BPoint
 tabulates each l_W at the lines of W once, so restricting it is a lookup.
 """
 
-from functools import lru_cache
 from itertools import combinations, product
 
 from .errors import DefectSignal, InvariantViolation
+from .field import per_field
 from .linalg import (
     _MAX_STRATA,
     Flag,
@@ -118,7 +118,7 @@ class BPoint:
         for W, c in family.items():
             if len(c) != W.dim:
                 raise ValueError("functional length must match subspace dimension")
-        index = _subspace_order(n_plus_1, ctx)
+        index = _subspace_order(ctx, n_plus_1)
         self.ctx = ctx
         self.n_plus_1 = n_plus_1
         self.family = family
@@ -450,7 +450,7 @@ def incidence_minors_ok(x):
     pair that fails.
     """
     ctx = x.ctx
-    index = _subspace_order(x.n_plus_1, ctx)
+    index = _subspace_order(ctx, x.n_plus_1)
     for small, big in _nested_pairs(index):
         # any two vectors of a line are proportional, so its minors vanish
         if small.dim == 1 or _minors_vanish(x.on_lines[big], x.on_lines[small]):
@@ -468,7 +468,7 @@ def incidence_minors_ok(x):
 def restriction_proportional_ok(x):
     """Test (b): in the BPoint x, the restriction of l_W to each W' < W is
     c * l_W' for some scalar c, zero allowed.  Returns (ok, witness)."""
-    index = _subspace_order(x.n_plus_1, x.ctx)
+    index = _subspace_order(x.ctx, x.n_plus_1)
     for small, big in _nested_pairs(index):
         restriction = _restrict(x, big, small, index)
         if any(restriction) and functional_ratio(restriction, x.family[small]) is None:
@@ -525,7 +525,7 @@ def b_classify(x):
     """
     chain = _kernel_chain(x)
     flag = Flag(x.n_plus_1, tuple(reversed(chain)))
-    index = _subspace_order(x.n_plus_1, x.ctx)
+    index = _subspace_order(x.ctx, x.n_plus_1)
     divisors = {
         cand
         for cand in x.family
@@ -554,7 +554,7 @@ def b_from_flag_data(flag, parts, ctx):
     if len(parts) != len(chain) - 1:
         raise ValueError(f"need {len(chain) - 1} quotient parts, got {len(parts)}")
     n_plus_1 = flag.n_plus_1
-    index = _subspace_order(n_plus_1, ctx)
+    index = _subspace_order(ctx, n_plus_1)
     inside = [index.line_coords[index.subspace_id[C]] for C in chain]
     on_lines = []
     for t in range(len(chain) - 1):
@@ -591,7 +591,7 @@ def _quotient_projection(big, small, ctx):
     such an e_i projects to itself, and e_i at the pivot of row r, which is r
     minus r's entries at those free positions, to minus those entries.
     """
-    index = _subspace_order(big.n_plus_1, ctx)
+    index = _subspace_order(ctx, big.n_plus_1)
     inside = index.line_coords[index.subspace_id[big]]
     small_c = Subspace(big.dim, tuple(inside[index.line_id[r]] for r in small.rows))
     at_pivot = dict(zip(small_c.pivots(), small_c.rows))
@@ -657,7 +657,7 @@ def rho_map(x):
 # serialization
 
 
-@lru_cache(maxsize=None)
+@per_field
 def _k_index(ctx):
     return {a: i for i, a in enumerate(ctx.k_elements)}
 
@@ -667,7 +667,7 @@ def vector_str(v, ctx):
     return ",".join(str(idx[a]) for a in v)
 
 
-@lru_cache(maxsize=None)
+@per_field
 def _k_by_index_str(ctx):
     return {str(i): a for i, a in enumerate(ctx.k_elements)}
 

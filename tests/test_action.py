@@ -199,6 +199,16 @@ def test_stabilizer_theorem_small_sweep(ctx64, ctx729):
         assert stabilizer_bruteforce(x, group3) == stabilizer_predicted(x, group3)
 
 
+def test_group_elements_of_two_fields_keep_their_own_images():
+    # a 0/1 matrix over GF(3) and over GF(2) has the same element codes, so
+    # the two group elements compare equal; each field keeps its own images
+    ctx3, ctx2 = field_make(3, 1, 1), field_make(2, 1, 1)
+    stabilizer_bruteforce(PPoint(ctx3, vecs(ctx3, 1, 0, 0)))
+    x = b_enumerate(ctx2, 3, 1)[-1]
+    stab = stabilizer_bruteforce(x)
+    assert stab and stab == stabilizer_predicted(x)
+
+
 def test_omega_equivariance(ctx64):
     group = enumerate_pgl(2, ctx64)
     for coords in enumerate_omega(2, ctx64, 2):

@@ -55,22 +55,26 @@ def test_subspace_enumeration_over_gf4(ctx4):
 
 
 def test_rational_kernel_over_gf4_bruteforce(ctx4):
+    """Against brute force over k = GF(4) and over k = GF(8) inside GF(2^6),
+    whose F_p-basis of k is 1, a, a^2 for a generator a of k^x."""
     import random
 
     rng = random.Random(3)
-    els = ctx4.subfield_elements(2)
-    for _ in range(120):
-        coords = tuple(rng.choice(els) for _ in range(2))
-        if not any(coords):
-            continue
-        K = rational_kernel(coords, ctx4)
-        solutions = [
-            v
-            for v in product(ctx4.k_elements, repeat=2)
-            if not apply_functional(coords, v)
-        ]
-        assert K == Subspace.span(2, [v for v in solutions if any(v)])
-        assert len(solutions) == 4**K.dim
+    ctx8 = context_for(2, 3, 2, [1, 2])
+    for ctx, n_plus_1 in ((ctx4, 2), (ctx8, 2), (ctx8, 3)):
+        els = ctx.subfield_elements(2)
+        for _ in range(120):
+            coords = tuple(rng.choice(els) for _ in range(n_plus_1))
+            if not any(coords):
+                continue
+            K = rational_kernel(coords, ctx)
+            solutions = [
+                v
+                for v in product(ctx.k_elements, repeat=n_plus_1)
+                if not apply_functional(coords, v)
+            ]
+            assert K == Subspace.span(n_plus_1, [v for v in solutions if any(v)])
+            assert len(solutions) == ctx.q**K.dim
 
 
 def test_point_totals_over_gf4(ctx4):

@@ -337,3 +337,32 @@ def test_a_rejected_modulus_raises_on_every_call():
         with pytest.raises(ValueError, match="not irreducible"):
             FieldCtx(2, 1, 2, (0, 0, 1))
     assert FieldCtx(2, 1, 2).modulus == (1, 1, 1)
+
+
+def test_a_dropped_context_is_freed_with_its_tables():
+    # what is built for a field (k, the rational index, the group, the images
+    # of its elements, a count's worker state) lives on its context, so a
+    # context nothing holds is collected and leaves _LIVE
+    import gc
+    import weakref
+
+    from drinfeld import b_enumerate, build_atlas, enumerate_pgl, field
+    from drinfeld import stabilizer_bruteforce, stabilizer_predicted
+    from drinfeld.linalg import _subspace_order
+    from drinfeld.points import b_classify
+
+    ctx = FieldCtx(5, 1, 1)
+    key = (ctx.p, ctx.e, ctx.D, ctx.modulus)
+    assert len(ctx.k_elements) == 5
+    index = _subspace_order(ctx, 2)
+    group = enumerate_pgl(2, ctx)
+    x = b_enumerate(ctx, 2, 1)[0]
+    b_classify(x)
+    assert stabilizer_bruteforce(x, group) == stabilizer_predicted(x, group)
+    atlases = [build_atlas("B", 2, ctx, [1], jobs=jobs) for jobs in (1, 2)]
+    assert atlases[0].counts == atlases[1].counts
+    ref = weakref.ref(ctx)
+    del ctx, index, group, x, atlases
+    gc.collect()
+    assert ref() is None
+    assert key not in field._LIVE

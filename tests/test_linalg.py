@@ -173,12 +173,13 @@ def test_subspace_order_against_direct_containment(ctx64, ctx729):
     """Slow oracle for the cached containment order: superspaces and flags
     recomputed pair by pair with Subspace.contains."""
     ctx4 = context_for(2, 2, 2, [1, 2])  # k = GF(4), as in test_extension_base
+    ctx5 = context_for(5, 1, 3, [1])
     for ctx, n_plus_1 in (
-        (ctx64, 2), (ctx64, 3), (ctx729, 3), (ctx64, 4), (ctx4, 2), (ctx4, 3)
+        (ctx64, 2), (ctx64, 3), (ctx729, 3), (ctx64, 4), (ctx4, 2), (ctx4, 3), (ctx5, 3)
     ):
         subs = all_subspaces(n_plus_1, ctx)
         assert subs == sorted(subs, key=Subspace.sort_key)
-        index = _subspace_order(n_plus_1, ctx)
+        index = _subspace_order(ctx, n_plus_1)
         above = index.above
         assert list(above) == subs
         # the ids: subspaces in the order above, lines in their own order
@@ -228,7 +229,7 @@ def test_group_action_against_matrices(ctx64, ctx729):
     ctx4 = context_for(2, 2, 2, [1, 2])  # k = GF(4)
     rng = random.Random(0)
     for ctx, n_plus_1 in ((ctx64, 3), (ctx729, 2), (ctx4, 2)):
-        index = _subspace_order(n_plus_1, ctx)
+        index = _subspace_order(ctx, n_plus_1)
         subs = all_subspaces(n_plus_1, ctx)
         units = [c for c in ctx.k_elements if c]
         group = enumerate_pgl(n_plus_1, ctx)
@@ -358,7 +359,7 @@ def test_quotient_projection_against_basis_solve(p, n_plus_1):
     from drinfeld.points import _quotient_projection
 
     ctx = context_for(p, 1, n_plus_1, [1])
-    index = _subspace_order(n_plus_1, ctx)
+    index = _subspace_order(ctx, n_plus_1)
     pairs = 0
     for small in (W for subs in index.by_dim for W in subs):
         for big in index.above[small]:

@@ -472,7 +472,7 @@ def test_b_line_table_is_each_functional_at_each_line(p, n_plus_1, m):
     from drinfeld.linalg import _subspace_order, rref
 
     ctx = context_for(p, 1, n_plus_1, [m])
-    lines = _subspace_order(n_plus_1, ctx).lines
+    lines = _subspace_order(ctx, n_plus_1).lines
     members = {
         W: [j for j, u in enumerate(lines) if W.contains_vector(u)]
         for W in all_subspaces(n_plus_1, ctx, include_zero=False)
