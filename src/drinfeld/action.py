@@ -59,7 +59,7 @@ class GroupElement:
             matrix = tuple(tuple(inv * a for a in row) for row in matrix)
         self.ctx = ctx
         self.matrix = matrix
-        self._hash = hash(tuple(tuple(a.code for a in r) for r in matrix))
+        self._hash = hash(matrix)
 
     @classmethod
     def identity(cls, n_plus_1, ctx):

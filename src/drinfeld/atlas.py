@@ -3,8 +3,9 @@
 An atlas for one of the three varieties holds the stratum keys (subspaces
 for P and Q, flags for B), the closure relation between strata, and the
 number of points in each stratum over every requested extension k_m.
-Counts always come from full enumeration plus classification; closed
-formulas only ever appear as cross-checks in the test suites.
+Counts always come from full enumeration plus classification, and each
+stratum's count is checked against its closed form, which a cached count
+must match as well.
 
 Exports are byte-deterministic: identical inputs give identical bytes,
 independent of the worker count used for counting.
@@ -17,6 +18,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
 
+from .errors import InvariantViolation
 from .linalg import _MAX_STRATA, _subspace_order, all_subspaces, enumerate_flags, gaussian_binomial
 from .points import (
     _nonzero_subspace_count,
@@ -109,13 +111,30 @@ def _chain_sum(n_plus_1, q, weight):
     return totals[-1]
 
 
+def _dense(d, q, m):
+    """The dense points over k_m of a d-dimensional space, prod_{i=1..d-1} (q^m - q^i):
+    k-linearly independent d-tuples in k_m up to k_m^x."""
+    return math.prod(q**m - q**i for i in range(1, d))
+
+
 def _variety_total(variety, n_plus_1, q, m):
     """The number of points over k_m in closed form: for P and Q the normalized
     covectors of length n+1, for B one dense point of each quotient of its flag's
-    chain, of which a d-dimensional one has prod_{i=1..d-1} (q^m - q^i)."""
+    chain."""
     if variety != "B":
         return (q ** (m * n_plus_1) - 1) // (q**m - 1)
-    return _chain_sum(n_plus_1, q, lambda d: math.prod(q**m - q**i for i in range(1, d)))
+    return _chain_sum(n_plus_1, q, lambda d: _dense(d, q, m))
+
+
+def _stratum_total(variety, node, n_plus_1, q, m):
+    """The number of points over k_m in one stratum in closed form: one dense
+    point of V/V' (P), of V' (Q), or of each quotient of the flag's chain (B)."""
+    if variety == "P":
+        return _dense(n_plus_1 - node.dim, q, m)
+    if variety == "Q":
+        return _dense(node.dim, q, m)
+    dims = [n_plus_1] + [s.dim for s in reversed(node.members)] + [0]
+    return math.prod(_dense(a - b, q, m) for a, b in zip(dims, dims[1:]))
 
 
 def _check_desk_scale(variety, n_plus_1, q, m_list):
@@ -197,11 +216,10 @@ def _cache_path(cache_dir, variety, ctx, n_plus_1, m):
     return os.path.join(cache_dir, name)
 
 
-def _cache_load(cache_dir, variety, ctx, n_plus_1, m, keys):
+def _cache_load(cache_dir, variety, ctx, n_plus_1, m, forms):
     """The cached counts, or None for a miss: no readable file, another
-    header, or counts that cannot be right.  Counts are kept only as positive
-    ints on stratum keys (keys: the set of them) that sum to the variety's
-    point count; two counts swapped between strata still pass."""
+    header, or counts other than forms, the closed form of every nonempty
+    stratum by key."""
     path = _cache_path(cache_dir, variety, ctx, n_plus_1, m)
     if not os.path.exists(path):
         return None
@@ -214,12 +232,8 @@ def _cache_load(cache_dir, variety, ctx, n_plus_1, m, keys):
     if type(obj) is not dict or any(obj.get(k) != v for k, v in expected.items()):
         return None
     counts = obj.get("counts")
-    if (
-        type(counts) is not dict
-        or not counts.keys() <= keys
-        or any(type(c) is not int or c < 1 for c in counts.values())
-        or sum(counts.values()) != _variety_total(variety, n_plus_1, ctx.q, m)
-    ):
+    # JSON true and 2.0 compare equal to ints, so the type is checked too
+    if type(counts) is not dict or counts != forms or any(type(c) is not int for c in counts.values()):
         return None
     return counts
 
@@ -263,7 +277,8 @@ def build_atlas(variety, n_plus_1, ctx, m_list, jobs=1, cache_dir=None):
 
     The cache (one JSON file per variety/q/n/m under cache_dir) is an
     optimization only; counts are recomputed whenever it is absent or
-    stale, and cache_dir=None neither reads nor writes it.
+    stale, and cache_dir=None neither reads nor writes it.  A count that
+    differs from its stratum's closed form raises InvariantViolation.
     """
     if variety not in VARIETIES:
         raise ValueError(f"variety must be one of {VARIETIES}")
@@ -278,18 +293,19 @@ def build_atlas(variety, n_plus_1, ctx, m_list, jobs=1, cache_dir=None):
         (key_of[a], key_of[b])
         for a, b in _closure_pairs(variety, node_objs, n_plus_1, ctx)
     )
-    keys = {key for key, _ in nodes}
     counts = {}
     for m in m_list:
-        cached = None
-        if cache_dir:
-            cached = _cache_load(cache_dir, variety, ctx, n_plus_1, m, keys)
-        if cached is None:
+        forms = {}
+        for s, (key, _) in zip(node_objs, nodes):
+            if total := _stratum_total(variety, s, n_plus_1, ctx.q, m):
+                forms[key] = total
+        raw = _cache_load(cache_dir, variety, ctx, n_plus_1, m, forms) if cache_dir else None
+        if raw is None:
             raw = count_stratum_points(variety, n_plus_1, ctx, m, jobs=jobs)
+            if raw != forms:
+                raise InvariantViolation(f"{variety} stratum counts over k_{m} differ from their closed forms")
             if cache_dir:
                 _cache_store(cache_dir, variety, ctx, n_plus_1, m, raw)
-        else:
-            raw = cached
         counts[m] = {key: raw.get(key, 0) for key, _ in nodes}
     return StrataAtlas(variety, ctx, n_plus_1, nodes, closure, counts)
 

@@ -7,12 +7,14 @@ towers: membership in k_m is the Frobenius fixed-point test a^(q^m) = a.
 
 An element's code is the int whose base-p digits are its coefficients in
 the power basis 1, x, ..., x^(D-1), constant term most significant, so codes
-sort as coefficient tuples do.  Each context holds one Element per code and,
-over a primitive element g, log tables and Zech's logarithms log(1 + g^n)
-(Lidl & Niederreiter, Finite Fields, ch. 9): every operation is one table
-step.  Polynomial arithmetic is left to the irreducibility test and the
-table build.  Whatever else is built for a field, by a @per_field function,
-is kept on its context and freed with it.
+sort as coefficient tuples do.  Each context holds one Element per code, so
+elements compare and hash by identity: two elements of one field are equal
+exactly when their codes are, and elements of two fields never are.  It also
+holds, over a primitive element g, log tables and Zech's logarithms
+log(1 + g^n) (Lidl & Niederreiter, Finite Fields, ch. 9): every operation is
+one table step.  Polynomial arithmetic is left to the irreducibility test
+and the table build.  Whatever else is built for a field, by a @per_field
+function, is kept on its context and freed with it.
 """
 
 import math
@@ -302,7 +304,9 @@ class FieldCtx:
 
 class Element:
     """An element of GF(p^D): its code and its log over the context's
-    primitive element.  Each context holds exactly one Element per code."""
+    primitive element.  Each context holds exactly one Element per code, so
+    equality and hashing are identity, and elements of two fields never
+    compare equal; codes only order them."""
 
     __slots__ = ("ctx", "code", "log")
 
@@ -352,12 +356,6 @@ class Element:
 
     def __bool__(self):
         return self.code != 0
-
-    def __eq__(self, other):
-        return isinstance(other, Element) and self.code == other.code
-
-    def __hash__(self):
-        return self.code
 
     def __lt__(self, other):
         return self.code < other.code

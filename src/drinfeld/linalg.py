@@ -60,7 +60,7 @@ class Subspace:
     def __init__(self, n_plus_1, rows):
         self.n_plus_1 = n_plus_1
         self.rows = rows
-        self._hash = hash((n_plus_1, tuple(tuple(a.code for a in r) for r in rows)))
+        self._hash = hash((n_plus_1, rows))
 
     @classmethod
     def span(cls, n_plus_1, vectors):

@@ -85,7 +85,7 @@ class QPoint:
         return isinstance(other, QPoint) and self.table == other.table
 
     def __hash__(self):
-        return hash(tuple(sorted(self.table.items(), key=lambda kv: vec_key(kv[0]))))
+        return hash(frozenset(self.table.items()))
 
     def __reduce__(self):
         return (QPoint, (self.ctx, self.n_plus_1, self.table, False))
@@ -139,8 +139,7 @@ class BPoint:
         return isinstance(other, BPoint) and self.family == other.family
 
     def __hash__(self):
-        items = sorted(self.family.items(), key=lambda kv: kv[0].sort_key())
-        return hash(tuple((k, v) for k, v in items))
+        return hash(frozenset(self.family.items()))
 
     def __reduce__(self):
         return (BPoint, (self.ctx, self.n_plus_1, self.family, False))
@@ -260,8 +259,8 @@ def twist_span_dim(x):
 # Q
 
 
-class QValidation:
-    "Outcome of the reciprocal-map axioms; falsy iff some axiom failed."
+class Validation:
+    "Outcome of the Q or B axioms; falsy iff some axiom failed, which code names."
 
     __slots__ = ("code", "witness")
 
@@ -279,7 +278,7 @@ class QValidation:
 def q_validate(table, ctx, n_plus_1):
     """Check the reciprocal-map axioms on a raw table over V \\ {0}.
 
-    Returns a QValidation; on failure the code names the violated axiom
+    Returns a Validation; on failure the code names the violated axiom
     ('non-generating', 'scaling', 'addition') with witness vectors.  A linear
     certificate decides addition; the scan over pairs only names the witness.
     """
@@ -289,7 +288,7 @@ def q_validate(table, ctx, n_plus_1):
     if set(table) != set(vectors):
         raise ValueError("table must be defined on exactly the nonzero vectors")
     if not any(table[v] for v in vectors):
-        return QValidation("non-generating")
+        return Validation("non-generating")
     k_units = [a for a in ctx.k_elements if a]
     for v in vectors:
         rv = table[v]
@@ -298,9 +297,9 @@ def q_validate(table, ctx, n_plus_1):
                 continue
             lv = tuple(lam * a for a in v)
             if table[lv] != lam.inverse() * rv:
-                return QValidation("scaling", (lam, v))
+                return Validation("scaling", (lam, v))
     if _reciprocal_certificate(table, [v for v in vectors if table[v]], ctx, n_plus_1):
-        return QValidation()
+        return Validation()
     for v, w in combinations(vectors, 2):
         s = tuple(a + b for a, b in zip(v, w))
         if not any(s):
@@ -308,7 +307,7 @@ def q_validate(table, ctx, n_plus_1):
         lhs = table[v] * table[w]
         rhs = table[s] * (table[v] + table[w])
         if lhs != rhs:
-            return QValidation("addition", (v, w))
+            return Validation("addition", (v, w))
     raise DefectSignal("the reciprocal certificate failed on a table with no addition witness")
 
 
@@ -398,30 +397,6 @@ def q_bruteforce(ctx, n_plus_1, m):
 # B
 
 
-class BValidation:
-    """Outcome of both compatibility tests on a family.
-
-    minor_ok: the 2x2 incidence minors, decided on lines, the scan over
-    vectors only naming the witness; prop_ok: every restriction is a scalar
-    multiple (possibly zero) of the attached functional.  The two are
-    equivalent; a disagreement raises DefectSignal at the call site.
-    """
-
-    __slots__ = ("minor_ok", "prop_ok", "code", "witness")
-
-    def __init__(self, minor_ok, prop_ok, code=None, witness=None):
-        self.minor_ok = minor_ok
-        self.prop_ok = prop_ok
-        self.code = code
-        self.witness = witness
-
-    def __bool__(self):
-        return self.minor_ok and self.prop_ok
-
-    def __repr__(self):
-        return "valid" if self else f"invalid({self.code}, witness={self.witness})"
-
-
 def _nested_pairs(index):
     """Every (W', W) with W' < W among the nonzero subspaces in the rational
     index: W' in canonical order, then W."""
@@ -476,27 +451,20 @@ def restriction_proportional_ok(x):
     return True, None
 
 
-def b_validate(x_or_family, ctx=None):
-    """Run both compatibility tests; they must agree.
+def b_validate(x):
+    """Run both compatibility tests on a BPoint; they must agree.
 
-    Accepts a BPoint or a raw family dict (with ctx).  Returns a BValidation
-    that is truthy iff the family is compatible; raises DefectSignal if the
-    two equivalent tests ever disagree.
+    Returns a Validation that is truthy iff the family is compatible, the
+    witness the minor test's; raises DefectSignal if the two equivalent tests
+    ever disagree.
     """
-    x = x_or_family
-    if not isinstance(x, BPoint):
-        if ctx is None:
-            raise ValueError("ctx required for a raw family")
-        x = BPoint(ctx, next(iter(x)).n_plus_1, x, validate=False)
-    minor_ok, minor_wit = incidence_minors_ok(x)
-    prop_ok, prop_wit = restriction_proportional_ok(x)
+    minor_ok, witness = incidence_minors_ok(x)
+    prop_ok, _ = restriction_proportional_ok(x)
     if minor_ok != prop_ok:
         raise DefectSignal(
             f"minor test ({minor_ok}) and proportionality test ({prop_ok}) disagree"
         )
-    code = None if minor_ok else "incidence-minor"
-    witness = minor_wit if minor_wit is not None else prop_wit
-    return BValidation(minor_ok, prop_ok, code, witness)
+    return Validation(None if minor_ok else "incidence-minor", witness)
 
 
 def _kernel_chain(x):

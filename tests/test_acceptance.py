@@ -86,3 +86,29 @@ def test_criterion_8_map_compatibilities():
 
 def test_criterion_9_export_determinism():
     assert _run("9 export determinism").ok
+
+
+_VERDICTS = [
+    ("criterion 1 stratification partitions", True,
+     "q=2 n+1=2 m=1: |P|=|Q|=3 |B|=3; q=2 n+1=2 m=2: |P|=|Q|=5 |B|=5;"
+     " q=2 n+1=2 m=3: |P|=|Q|=9 |B|=9; q=2 n+1=3 m=1: |P|=|Q|=7 |B|=21 ..."),
+    ("criterion 2 reciprocal brute force", True,
+     "counts 3 (m=1) and 5 (m=2), set-equal to the construction"),
+    ("criterion 3 incidence equivalence", True, "4078 families checked, tests always agree"),
+    ("criterion 4 stabilizer theorem", True, "177 points, brute force == predicted throughout"),
+    ("criterion 5 unipotent corollary (restated)", False,
+     "unipotent elements (16) != radical (4) at q=2 n+1=3 m=1 for a PPoint in a"
+     " stratum with an unconstrained block; separation sub-claim: ok"),
+    ("criterion 5s unipotent corollary (normal core)", True, ""),
+    ("criterion 6 twist-span lemma", True, ""),
+    ("criterion 7 spot check PGL(2,2)", True,
+     "|Stab| = 3 with the d = 2 branch firing on both 3-cycles"),
+    ("criterion 8 map compatibilities", True, ""),
+    ("criterion 9 export determinism", True, ""),
+]
+
+
+def test_verdicts_and_details_are_pinned():
+    "Every criterion's verdict and witness, in order, exactly as pinned."
+    _run("1 stratification partitions")
+    assert [(r.name, r.ok, r.detail) for r in _RESULTS.values()] == _VERDICTS

@@ -200,8 +200,8 @@ def test_stabilizer_theorem_small_sweep(ctx64, ctx729):
 
 
 def test_group_elements_of_two_fields_keep_their_own_images():
-    # a 0/1 matrix over GF(3) and over GF(2) has the same element codes, so
-    # the two group elements compare equal; each field keeps its own images
+    # a 0/1 matrix over GF(3) and over GF(2) has the same element codes; the
+    # two group elements differ, and each field keeps its own images
     ctx3, ctx2 = field_make(3, 1, 1), field_make(2, 1, 1)
     stabilizer_bruteforce(PPoint(ctx3, vecs(ctx3, 1, 0, 0)))
     x = b_enumerate(ctx2, 3, 1)[-1]

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from drinfeld import atlas as atlas_mod
 from drinfeld import build_atlas, context_for, export
 from drinfeld.atlas import VARIETIES, _variety_total, transitive_reduction
+from drinfeld.errors import InvariantViolation
 
 
 def test_p_atlas_dim_two(ctx64):
@@ -121,14 +123,32 @@ def test_export_rejects_unknown_format(ctx64):
         export(atlas, "yaml")
 
 
-def test_cache_roundtrip(tmp_path, ctx64):
+def test_cache_roundtrip(tmp_path, ctx64, monkeypatch):
     cache = str(tmp_path / "cache")
     a1 = build_atlas("Q", 2, ctx64, [1, 2], cache_dir=cache)
     files = sorted(p.name for p in (tmp_path / "cache").iterdir())
     assert files == ["Q_q2_n1_m1.json", "Q_q2_n1_m2.json"]
+
+    def no_count(*args, **kwargs):
+        raise AssertionError("a valid cache file was counted again")
+
+    monkeypatch.setattr(atlas_mod, "count_stratum_points", no_count)
     a2 = build_atlas("Q", 2, ctx64, [1, 2], cache_dir=cache)
     assert a1.counts == a2.counts
     assert export(a1, "json") == export(a2, "json")
+
+
+def test_a_count_that_loses_a_point_is_an_invariant_violation(ctx64, monkeypatch):
+    count = atlas_mod.count_stratum_points
+
+    def one_lost(*args, **kwargs):
+        counts = count(*args, **kwargs)
+        counts[min(counts)] -= 1
+        return counts
+
+    monkeypatch.setattr(atlas_mod, "count_stratum_points", one_lost)
+    with pytest.raises(InvariantViolation):
+        build_atlas("P", 3, ctx64, [2])
 
 
 def test_cache_ignores_stale_schema(tmp_path, ctx64):

@@ -368,21 +368,31 @@ def _one_count_changed(obj):
     return obj
 
 
-@pytest.mark.parametrize("damage", [
-    pytest.param(lambda obj: {**obj, "counts": "abc"}, id="counts-not-an-object"),
-    pytest.param(_one_count_changed, id="one-count-changed"),
-    pytest.param(lambda obj: [obj], id="a-list"),
-    pytest.param(lambda obj: b"\xff" + json.dumps(obj).encode(), id="not-utf-8"),
+def _counts_swapped(obj):
+    # the dense stratum's 2 points trade places with a line's 1: the sum stays 5
+    counts = obj["counts"]
+    assert counts["0"] == 2 and counts["0,1"] == 1
+    counts["0"], counts["0,1"] = 1, 2
+    return obj
+
+
+@pytest.mark.parametrize("m, damage", [
+    pytest.param(1, lambda obj: {**obj, "counts": "abc"}, id="counts-not-an-object"),
+    pytest.param(1, _one_count_changed, id="one-count-changed"),
+    pytest.param(1, lambda obj: [obj], id="a-list"),
+    pytest.param(1, lambda obj: b"\xff" + json.dumps(obj).encode(), id="not-utf-8"),
+    pytest.param(2, _counts_swapped, id="counts-swapped-between-strata"),
 ])
-def test_count_recounts_over_a_damaged_cache(tmp_path, damage):
-    # P at (2, n=1, m=1) has 3 points; a cache file that cannot hold the
-    # true counts is a miss, recounted and written again
+def test_count_recounts_over_a_damaged_cache(tmp_path, m, damage):
+    # P at (2, n=1) has 3 points over k_1 and 5 over k_2; a cache file that
+    # does not hold the true counts is a miss, recounted and written again
     cache = str(tmp_path / "atlas-cache")
-    args = ["count", "--variety", "P", "--n", "1", "--m", "1",
+    args = ["count", "--variety", "P", "--n", "1", "--m", str(m),
             "--format", "json", "--cache-dir", cache]
     first = run_cli(args)
-    assert first.returncode == 0 and json.loads(first.stdout)["totals"] == {"1": 3}
-    path = os.path.join(cache, "P_q2_n1_m1.json")
+    assert first.returncode == 0
+    assert json.loads(first.stdout)["totals"] == {str(m): {1: 3, 2: 5}[m]}
+    path = os.path.join(cache, f"P_q2_n1_m{m}.json")
     with open(path, "rb") as fh:
         good = fh.read()
     body = damage(json.loads(good))

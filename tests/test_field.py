@@ -325,6 +325,20 @@ def test_one_live_context_per_field():
     assert all(a.ctx is again for a in again.k_elements)
 
 
+def test_nothing_of_two_fields_compares_equal():
+    # equality is identity: a code names an element of one field only
+    from drinfeld import GroupElement, PPoint, Subspace
+
+    gf2, gf3, gf4 = field_make(2, 1, 1), field_make(3, 1, 1), field_make(2, 1, 2)
+    x = gf4.element((0, 1))
+    assert x.code == gf2.one.code == gf3.one.code
+    assert x != gf2.one and gf3.one != gf2.one
+    assert x not in {gf2.one: 0} and gf2.one not in {x: 0}
+    assert PPoint(gf2, (gf2.one, gf2.zero)) != PPoint(gf3, (gf3.one, gf3.zero))
+    assert Subspace.full(2, gf2) != Subspace.full(2, gf3)
+    assert GroupElement.identity(2, gf2) != GroupElement.identity(2, gf3)
+
+
 def test_pickling_returns_the_live_context_and_element():
     ctx = FieldCtx(3, 1, 2)
     assert pickle.loads(pickle.dumps(ctx)) is ctx

@@ -511,7 +511,7 @@ def test_b_validate_detects_perturbation(ctx64):
     b, wit_b = restriction_proportional_ok(y)
     assert a == b and not a and wit_a is not None
     assert (a, wit_a) == _minors_oracle(fam, ctx64)
-    assert not b_validate(fam, ctx64)
+    assert not b_validate(y)
     with pytest.raises(ValueError):
         BPoint(ctx64, 3, fam)
 
@@ -592,6 +592,13 @@ def test_point_json_roundtrips(ctx64, omega4):
     for x in pts:
         obj = json.loads(json.dumps(point_to_obj(x), sort_keys=True))
         assert point_from_obj(obj) == x
+    # a family read back in another key order is the same point, same hash
+    x = pts[3]
+    obj = point_to_obj(x)
+    obj["data"]["family"] = dict(reversed(obj["data"]["family"].items()))
+    y = point_from_obj(obj)
+    assert list(y.family) == list(reversed(x.family))
+    assert y == x and hash(y) == hash(x)
 
 
 def test_point_json_rejects_mismatched_field(ctx64, ctx729):
