@@ -10,6 +10,7 @@ stabilizers in PGL(V)(k) both by brute force and through their structure
 theory.
 """
 
+from .counts import gaussian_binomial, pgl_order
 from .errors import DefectSignal, InvariantViolation
 from .field import (
     Element,
@@ -27,7 +28,6 @@ from .linalg import (
     enumerate_flags,
     enumerate_subspaces,
     flag_leq,
-    gaussian_binomial,
     quotient_functional,
     rational_kernel,
     rref,
@@ -65,7 +65,6 @@ from .action import (
     fixes,
     fixpoint_check_omega,
     p_core,
-    pgl_order,
     stabilizer_bruteforce,
     stabilizer_predicted,
     stratum_flag,

@@ -20,6 +20,7 @@ import math
 from functools import lru_cache
 from itertools import product
 
+from .counts import check_group, pgl_order
 from .errors import DefectSignal, InvariantViolation
 from .field import per_field
 from .linalg import (
@@ -168,21 +169,9 @@ class _Action:
         return tuple(self.line(j)[0] for j in range(len(self._lines)))
 
 
-def pgl_order(n_plus_1, q):
-    "Product formula for |PGL(n+1, q)| = |GL(n+1, q)| / (q - 1)."
-    order = 1
-    for i in range(n_plus_1):
-        order *= q**n_plus_1 - q**i
-    return order // (q - 1)
-
-
 @per_field
 def _enumerate_pgl_cached(ctx, n_plus_1):
-    bound = 10**5
-    if pgl_order(n_plus_1, ctx.q) > bound:
-        raise ValueError(
-            f"|PGL({n_plus_1}, {ctx.q})| exceeds the desk-scale bound {bound}"
-        )
+    check_group(n_plus_1, ctx.q)
     k_els = ctx.k_elements
     out = []
     for flat in product(k_els, repeat=n_plus_1 * n_plus_1):

@@ -3,25 +3,25 @@
 An atlas for one of the three varieties holds the stratum keys (subspaces
 for P and Q, flags for B), the closure relation between strata, and the
 number of points in each stratum over every requested extension k_m.
-Counts always come from full enumeration plus classification, and each
-stratum's count is checked against its closed form, which a cached count
-must match as well.
+A request past the desk-scale bounds of `counts` is refused before anything
+is built.  Counts come from full enumeration plus classification, or from a
+cache file whose counts equal the closed forms of `counts`; a fresh count
+that differs from them raises InvariantViolation.
 
 Exports are byte-deterministic: identical inputs give identical bytes,
 independent of the worker count used for counting.
 """
 
 import json
-import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
 
+from .counts import check_desk_scale, stratum_total, variety_total
 from .errors import InvariantViolation
-from .linalg import _MAX_STRATA, _subspace_order, all_subspaces, enumerate_flags, gaussian_binomial
+from .linalg import _subspace_order, all_subspaces, enumerate_flags
 from .points import (
-    _nonzero_subspace_count,
     b_enumerate_flag,
     enumerate_functionals,
     flag_str,
@@ -34,8 +34,6 @@ from .points import (
 
 SCHEMA_VERSION = 1
 VARIETIES = ("P", "Q", "B")
-
-_MAX_POINTS = 200_000
 
 
 class StrataAtlas:
@@ -100,56 +98,6 @@ def _closure_pairs(variety, nodes, n_plus_1, ctx):
     return [(a, b) for b in nodes for a in above[b]]
 
 
-def _chain_sum(n_plus_1, q, weight):
-    """The sum over the chains V = C_0 > C_1 > ... > 0 of the product of weight(d)
-    over their steps of codimension d: S(k) = sum_d [k choose d]_q weight(d) S(k-d)."""
-    totals = [1]
-    for k in range(1, n_plus_1 + 1):
-        totals.append(sum(
-            gaussian_binomial(k, d, q) * weight(d) * totals[k - d] for d in range(1, k + 1)
-        ))
-    return totals[-1]
-
-
-def _dense(d, q, m):
-    """The dense points over k_m of a d-dimensional space, prod_{i=1..d-1} (q^m - q^i):
-    k-linearly independent d-tuples in k_m up to k_m^x."""
-    return math.prod(q**m - q**i for i in range(1, d))
-
-
-def _variety_total(variety, n_plus_1, q, m):
-    """The number of points over k_m in closed form: for P and Q the normalized
-    covectors of length n+1, for B one dense point of each quotient of its flag's
-    chain."""
-    if variety != "B":
-        return (q ** (m * n_plus_1) - 1) // (q**m - 1)
-    return _chain_sum(n_plus_1, q, lambda d: _dense(d, q, m))
-
-
-def _stratum_total(variety, node, n_plus_1, q, m):
-    """The number of points over k_m in one stratum in closed form: one dense
-    point of V/V' (P), of V' (Q), or of each quotient of the flag's chain (B)."""
-    if variety == "P":
-        return _dense(n_plus_1 - node.dim, q, m)
-    if variety == "Q":
-        return _dense(node.dim, q, m)
-    dims = [n_plus_1] + [s.dim for s in reversed(node.members)] + [0]
-    return math.prod(_dense(a - b, q, m) for a, b in zip(dims, dims[1:]))
-
-
-def _check_desk_scale(variety, n_plus_1, q, m_list):
-    """ValueError, before anything is built, for too many strata (subspaces, or flags
-    for B) or points over some k_m."""
-    if variety == "B":
-        strata = _chain_sum(n_plus_1, q, lambda d: 1)
-    else:
-        strata = _nonzero_subspace_count(n_plus_1, q)
-    if strata > _MAX_STRATA:
-        raise ValueError("stratum count exceeds the desk-scale bound")
-    if any(_variety_total(variety, n_plus_1, q, m) > _MAX_POINTS for m in m_list):
-        raise ValueError("point count exceeds the desk-scale bound")
-
-
 # --- counting workers -------------------------------------------------------
 
 _WORKER = {}
@@ -183,7 +131,7 @@ def _count_task(task):
 
 def _tasks_for(variety, n_plus_1, ctx, m):
     if variety == "P":
-        total = _variety_total(variety, n_plus_1, ctx.q, m)
+        total = variety_total(variety, n_plus_1, ctx.q, m)
         step = 512
         return [(m, 0, lo, min(lo + step, total)) for lo in range(0, total, step)]
     strata = _node_objects(variety, n_plus_1, ctx)
@@ -282,7 +230,7 @@ def build_atlas(variety, n_plus_1, ctx, m_list, jobs=1, cache_dir=None):
     """
     if variety not in VARIETIES:
         raise ValueError(f"variety must be one of {VARIETIES}")
-    _check_desk_scale(variety, n_plus_1, ctx.q, m_list)
+    check_desk_scale(variety, n_plus_1, ctx.q, m_list)
     node_objs = _node_objects(variety, n_plus_1, ctx)
     nodes = [
         (_node_key(variety, s, ctx), _dim_index(variety, s, n_plus_1))
@@ -297,7 +245,7 @@ def build_atlas(variety, n_plus_1, ctx, m_list, jobs=1, cache_dir=None):
     for m in m_list:
         forms = {}
         for s, (key, _) in zip(node_objs, nodes):
-            if total := _stratum_total(variety, s, n_plus_1, ctx.q, m):
+            if total := stratum_total(variety, s, n_plus_1, ctx.q, m):
                 forms[key] = total
         raw = _cache_load(cache_dir, variety, ctx, n_plus_1, m, forms) if cache_dir else None
         if raw is None:

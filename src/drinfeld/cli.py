@@ -11,7 +11,8 @@ import json
 import sys
 from functools import lru_cache
 
-from .atlas import _check_desk_scale, build_atlas, export
+from .atlas import build_atlas, export
+from .counts import check_desk_scale
 from .errors import InvariantViolation
 from .field import FieldCtx, context_for
 from .points import (
@@ -204,7 +205,7 @@ def cmd_verify(args):
                 # the suites run over prime fields (the field's size bound is
                 # checked before primality) and build every B point in range
                 FieldCtx(q, 1, 1)
-                _check_desk_scale("B", args.max_n + 1, q, range(1, args.max_m + 1))
+                check_desk_scale("B", args.max_n + 1, q, range(1, args.max_m + 1))
             suites = tuple(t for t in args.suites.split(",") if t) if args.suites else ()
             cfg = VerifyConfig(
                 qs=qs,

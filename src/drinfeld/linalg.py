@@ -285,23 +285,6 @@ def rational_kernel(coords, ctx):
     return Subspace.span(n_plus_1, vectors)
 
 
-def gaussian_binomial(n, d, q):
-    "Number of d-dimensional subspaces of an n-dimensional space over F_q."
-    if d < 0 or d > n:
-        return 0
-    num = 1
-    den = 1
-    for i in range(d):
-        num *= q ** (n - i) - 1
-        den *= q ** (d - i) - 1
-    assert num % den == 0
-    return num // den
-
-
-# The most strata (subspaces, or flags for B) of an atlas, and the most nonzero
-# subspaces of a B point: _subspace_order's `above` is quadratic in this count.
-_MAX_STRATA = 4_000
-
 _RationalIndex = namedtuple(
     "_RationalIndex", "by_dim above subspace_id lines line_id line_coords by_lines"
 )

@@ -21,10 +21,10 @@ tabulates each l_W at the lines of W once, so restricting it is a lookup.
 
 from itertools import combinations, product
 
+from .counts import MAX_STRATA, check_covers, nonzero_subspaces, nonzero_vectors
 from .errors import DefectSignal, InvariantViolation
 from .field import per_field
 from .linalg import (
-    _MAX_STRATA,
     Flag,
     Subspace,
     _subspace_order,
@@ -32,7 +32,6 @@ from .linalg import (
     apply_functional,
     coords_to_ambient,
     enumerate_flags,
-    gaussian_binomial,
     normalize_functional,
     functional_ratio,
     rational_kernel,
@@ -107,13 +106,10 @@ class BPoint:
     __slots__ = ("ctx", "n_plus_1", "family", "on_lines")
 
     def __init__(self, ctx, n_plus_1, family, validate=True):
-        if not _covers(len(family), n_plus_1, _nonzero_subspace_count, ctx.q):
-            raise ValueError(
-                f"family must cover all nonzero subspaces of k^{n_plus_1},"
-                f" got {len(family)}"
-            )
-        if len(family) > _MAX_STRATA:
-            raise ValueError(f"{len(family)} subspaces exceed the desk-scale bound {_MAX_STRATA}")
+        check_covers(len(family), n_plus_1, nonzero_subspaces, ctx.q,
+                     f"family must cover all nonzero subspaces of k^{n_plus_1}, got {len(family)}")
+        if len(family) > MAX_STRATA:
+            raise ValueError(f"{len(family)} subspaces exceed the desk-scale bound {MAX_STRATA}")
         family = {W: normalize_functional(c) for W, c in family.items()}
         for W, c in family.items():
             if len(c) != W.dim:
@@ -148,36 +144,14 @@ class BPoint:
         return f"BPoint(n+1={self.n_plus_1}, {len(self.family)} functionals)"
 
 
-def _covers(entries, n_plus_1, count, q):
-    """Whether entries == count(n_plus_1, q); ValueError if n_plus_1 < 1.
-
-    Both counts in use, the nonzero vectors and the nonzero subspaces of
-    k^(n+1), are at least 2^(n+1) - 1, so an n+1 beyond the bit length of
-    entries is refused before anything of that size is formed.
-    """
-    if n_plus_1 < 1:
-        raise ValueError(f"n_plus_1 must be at least 1, got {n_plus_1}")
-    return n_plus_1 <= entries.bit_length() and entries == count(n_plus_1, q)
-
-
-def _nonzero_vector_count(n_plus_1, q):
-    return q**n_plus_1 - 1
-
-
-def _nonzero_subspace_count(n_plus_1, q):
-    return sum(gaussian_binomial(n_plus_1, d, q) for d in range(1, n_plus_1 + 1))
-
-
 # ---------------------------------------------------------------------------
 # enumeration of functionals and points
 
 
-def canonical_vectors(n_plus_1, ctx, nonzero=True):
-    "k-rational vectors of k^(n+1) in canonical order."
-    vecs = sorted(product(ctx.k_elements, repeat=n_plus_1), key=vec_key)
-    if nonzero:
-        vecs = [v for v in vecs if any(v)]
-    return vecs
+def canonical_vectors(n_plus_1, ctx):
+    """Nonzero k-rational vectors of k^(n+1) in canonical order: k_elements is
+    sorted, so product lists them in vec_key order."""
+    return [v for v in product(ctx.k_elements, repeat=n_plus_1) if any(v)]
 
 
 def enumerate_functionals(dim, ctx, m, lo=0, hi=float("inf")):
@@ -201,10 +175,12 @@ def enumerate_functionals(dim, ctx, m, lo=0, hi=float("inf")):
 
 def enumerate_omega(dim, ctx, m):
     "Normalized functionals over k_m whose rational kernel is trivial."
-    return [
-        c for c in enumerate_functionals(dim, ctx, m)
-        if rational_kernel(c, ctx).dim == 0
-    ]
+    return list(_omega(ctx, dim, m))
+
+
+@per_field
+def _omega(ctx, dim, m):
+    return tuple(c for c in enumerate_functionals(dim, ctx, m) if rational_kernel(c, ctx).dim == 0)
 
 
 def p_enumerate(ctx, n_plus_1, m):
@@ -282,8 +258,7 @@ def q_validate(table, ctx, n_plus_1):
     ('non-generating', 'scaling', 'addition') with witness vectors.  A linear
     certificate decides addition; the scan over pairs only names the witness.
     """
-    if not _covers(len(table), n_plus_1, _nonzero_vector_count, ctx.q):
-        raise ValueError("table must be defined on exactly the nonzero vectors")
+    check_covers(len(table), n_plus_1, nonzero_vectors, ctx.q, "table must be defined on exactly the nonzero vectors")
     vectors = canonical_vectors(n_plus_1, ctx)
     if set(table) != set(vectors):
         raise ValueError("table must be defined on exactly the nonzero vectors")
@@ -316,7 +291,7 @@ def _reciprocal_certificate(table, support, ctx, n_plus_1):
     its support is W minus 0 for W = span(support) and r = 1/l on it, l the
     linear functional with l = 1/r on W's echelon rows."""
     span = Subspace.span(n_plus_1, support)
-    if len(support) != ctx.q**span.dim - 1:
+    if len(support) != nonzero_vectors(span.dim, ctx.q):
         return False
     pivots, func = span.pivots(), tuple(table[r].inverse() for r in span.rows)
     return all(table[v] * apply_functional(func, [v[i] for i in pivots]) == ctx.one for v in support)
@@ -340,7 +315,7 @@ def q_classify(x):
     support = [v for v, val in x.table.items() if val]
     span = Subspace.span(x.n_plus_1, support)
     # the support lies in span minus 0, so it is all of it iff it is as large
-    if len(support) != x.ctx.q**span.dim - 1:
+    if len(support) != nonzero_vectors(span.dim, x.ctx.q):
         raise InvariantViolation("support of a reciprocal map is not a subspace")
     return span
 
@@ -516,7 +491,7 @@ def b_from_flag_data(flag, parts, ctx):
     member functionals are parts composed with the projections, tabulated
     once on their members' lines; every other subspace W inherits the
     restriction from the smallest chain member containing it not inside the
-    next one, read off that table at W's rows and normalized.
+    next one, read off that table at W's rows (BPoint normalizes it).
     """
     chain = flag.chain(ctx)
     if len(parts) != len(chain) - 1:
@@ -540,7 +515,7 @@ def b_from_flag_data(flag, parts, ctx):
         t, rows = 0, [index.line_id[r] for r in W.rows]
         while all(j in inside[t + 1] for j in rows):  # W <= chain[t + 1]
             t += 1
-        family[W] = normalize_functional(on_lines[t][j] for j in rows)
+        family[W] = tuple(on_lines[t][j] for j in rows)
     # compatible by construction, which the test suites check with b_validate;
     # the classification roundtrip is checked here, on every point built
     x = BPoint(ctx, n_plus_1, family, validate=False)

@@ -22,7 +22,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-from .atlas import _variety_total
+from .counts import gaussian_binomial, pgl_order, variety_total
 from .field import context_for, frobenius_k
 from .linalg import (
     Subspace,
@@ -32,7 +32,6 @@ from .linalg import (
     enumerate_flags,
     enumerate_subspaces,
     flag_leq,
-    gaussian_binomial,
     rational_kernel,
 )
 from .points import (
@@ -64,7 +63,6 @@ from .action import (
     enumerate_pgl,
     fixpoint_check_omega,
     p_core,
-    pgl_order,
     stabilizer_bruteforce,
     stabilizer_predicted,
     stratum_flag,
@@ -258,7 +256,7 @@ def check_linalg_canonical_uniqueness(cfg):
 def check_points_partition_p(cfg):
     for q, n_plus_1, m, ctx in _configs(cfg):
         pts = p_enumerate(ctx, n_plus_1, m)
-        want = _variety_total("P", n_plus_1, q, m)
+        want = variety_total("P", n_plus_1, q, m)
         if len(pts) != want:
             return False, f"|P| = {len(pts)} != {want} at q={q} n+1={n_plus_1} m={m}"
         if sum(Counter(p_classify(x) for x in pts).values()) != want:
@@ -542,7 +540,7 @@ def check_atlas_partitions(cfg):
             atlas_q = build_atlas("Q", n_plus_1, ctx, ms, jobs=cfg.jobs)
             atlas_b = build_atlas("B", n_plus_1, ctx, ms, jobs=cfg.jobs)
             for m in ms:
-                want = _variety_total("P", n_plus_1, q, m)
+                want = variety_total("P", n_plus_1, q, m)
                 if atlas_p.total(m) != want:
                     return False, f"P total {atlas_p.total(m)} != {want}"
                 q_want = _q_total(ctx, n_plus_1, m)
@@ -701,7 +699,7 @@ def criterion_1(shared):
         ctx = _ctx_for(q, n_plus_1, max(ms))
         for m in ms:
             p_pts = p_enumerate(ctx, n_plus_1, m)
-            p_want = _variety_total("P", n_plus_1, q, m)
+            p_want = variety_total("P", n_plus_1, q, m)
             if len(p_pts) != p_want or len(set(p_pts)) != len(p_pts):
                 return False, f"P partition failed at q={q} n+1={n_plus_1} m={m}"
             per_p = Counter(p_classify(x) for x in p_pts)

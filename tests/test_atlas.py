@@ -4,7 +4,8 @@ import pytest
 
 from drinfeld import atlas as atlas_mod
 from drinfeld import build_atlas, context_for, export
-from drinfeld.atlas import VARIETIES, _variety_total, transitive_reduction
+from drinfeld.atlas import VARIETIES, transitive_reduction
+from drinfeld.counts import variety_total
 from drinfeld.errors import InvariantViolation
 
 
@@ -193,9 +194,9 @@ def test_closed_form_totals_match_enumeration(q, n_plus_1, ms):
     for variety in VARIETIES:
         atlas = build_atlas(variety, n_plus_1, ctx, list(ms))
         assert [atlas.total(m) for m in ms] == [
-            _variety_total(variety, n_plus_1, q, m) for m in ms
+            variety_total(variety, n_plus_1, q, m) for m in ms
         ]
     # B by hand, from one dense point per quotient of each flag's chain
     by_hand = {(2, 3): [21, 49, 129], (3, 3): [52], (2, 4): [315, 1085]}
     if (q, n_plus_1) in by_hand:
-        assert [_variety_total("B", n_plus_1, q, m) for m in ms] == by_hand[q, n_plus_1]
+        assert [variety_total("B", n_plus_1, q, m) for m in ms] == by_hand[q, n_plus_1]

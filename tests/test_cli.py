@@ -288,11 +288,23 @@ def test_count_at_dimension_five():
 
 def test_atlas_above_the_desk_scale_bound_is_an_error():
     # B at n+1 = 6 over k_2 has 4,488,645 points; B at n+1 = 5 has 27,808
-    # flags and P at n+1 = 7 has 29,212 subspaces, as strata
+    # flags and P at n+1 = 7 has 29,212 subspaces, as strata.  P at n+1 = 2001
+    # and B at n+1 = 401 are refused from 2^(n+1) - 1 before their stratum
+    # counts, which take minutes to form, are multiplied out
     for argv in (["count", "--variety", "B", "--n", "5", "--m", "2"],
                  ["count", "--variety", "B", "--n", "4", "--m", "1"],
-                 ["strata", "--variety", "P", "--n", "6"]):
+                 ["strata", "--variety", "P", "--n", "6"],
+                 ["count", "--variety", "P", "--n", "2000", "--m", "1"],
+                 ["strata", "--variety", "B", "--n", "400"]):
         _assert_one_error_line(run_cli(argv + ["--no-cache"], timeout=30))
+
+
+def test_stabilizer_past_the_group_bound_is_an_error(dense_point_json):
+    # |PGL(8000, 2)| >= 2^(7999 * 8000) is refused before it is multiplied out
+    obj = json.loads(dense_point_json)
+    obj["field"] = {"p": 2, "e": 1, "D": 1, "modulus": [0, 1]}
+    obj["data"]["coords"] = [[1]] * 8000
+    _assert_one_error_line(run_cli(["stabilizer"], stdin=json.dumps(obj).encode(), timeout=30))
 
 
 def test_stabilizer_output(dense_point_json):
@@ -422,9 +434,11 @@ def test_verify_passes_at_dim_two():
 
 def test_verify_rejects_out_of_range_arguments():
     # 2^61 - 1 is prime, too large for the field bound and for trial division;
-    # --max-n 4 would build all 27,808 flags of k^5
+    # --max-n 4 would build all 27,808 flags of k^5, and --max-n 300 is refused
+    # before the flags of k^301 are counted
     for args in (["--max-n", "0"], ["--max-m", "0"], ["--perturbations", "-1"],
-                 ["--jobs", "0"], ["--q", "2305843009213693951"], ["--max-n", "4"]):
+                 ["--jobs", "0"], ["--q", "2305843009213693951"], ["--max-n", "4"],
+                 ["--max-n", "300"]):
         proc = run_cli(["verify", "--suites", "field"] + args, timeout=30)
         assert proc.returncode == 2 and not proc.stdout
         assert proc.stderr.decode().startswith("configuration error:")

@@ -273,7 +273,7 @@ def _omega_count_moebius(s, q, m):
     the quotient projective space, so with pi(t) = (q^(mt) - 1)/(q^m - 1):
     |Omega| = sum_j (-1)^j q^(j(j-1)/2) [s choose j]_q pi(s - j).
     """
-    from drinfeld.linalg import gaussian_binomial
+    from drinfeld.counts import gaussian_binomial
 
     def pi(t):
         return (q ** (m * t) - 1) // (q**m - 1) if t else 0
