@@ -8,16 +8,18 @@ the block-triangular description, whose diagonal blocks act as Galois-twisted
 scalars on the twist span of a dense quotient point (fixpoint_check_omega).
 
 Brute force asks fixes(x, g) of every g, which answers act(x, g) == x
-without building the moved point and stops at the first mismatch.  All
-but the P test read g's _Action, its images of the lines and subspaces of
-V found from the matrix on first use and kept in a bounded cache per field
-context; the B test reads l_W at W's lines from BPoint.on_lines, and the
-predicted route decides g(W) = W on W's echelon rows alone.  act, apply,
-compose and inverse stay on matrices as the oracle the tests compare with.
+without building the moved point and stops at the first mismatch.  Both
+routes read g through its line row, found from the matrix on first use
+and kept on the element for as long as it lives: for every line j of V,
+the id of g(j) and the log of the scalar carrying j's normalized vector
+there.  Points turn their values on the lines into logs once, so the
+brute-force tests and the first step of each predicted block test are
+linalg.logs_proportional over integers, and g(W) = W is read off the
+images of W's echelon rows.  act, apply, compose and inverse stay on
+matrices as the oracle the tests compare with.
 """
 
 import math
-from functools import lru_cache
 from itertools import product
 
 from .counts import check_group, pgl_order
@@ -28,6 +30,7 @@ from .linalg import (
     Subspace,
     _subspace_order,
     apply_functional,
+    logs_proportional,
     normalize_functional,
     functional_ratio,
     quotient_functional,
@@ -48,9 +51,10 @@ from .points import (
 
 class GroupElement:
     """An element of PGL(n+1, k): an invertible matrix over k, scaled so the
-    first nonzero entry in row-major order is 1."""
+    first nonzero entry in row-major order is 1; its line row and unipotent
+    verdict are kept on it once found."""
 
-    __slots__ = ("ctx", "matrix", "_hash")
+    __slots__ = ("ctx", "matrix", "_hash", "_row", "_unipotent")
 
     def __init__(self, ctx, matrix):
         matrix = tuple(tuple(r) for r in matrix)
@@ -61,14 +65,11 @@ class GroupElement:
         self.ctx = ctx
         self.matrix = matrix
         self._hash = hash(matrix)
+        self._row = self._unipotent = None
 
     @classmethod
     def identity(cls, n_plus_1, ctx):
-        rows = [
-            [ctx.one if i == j else ctx.zero for j in range(n_plus_1)]
-            for i in range(n_plus_1)
-        ]
-        return cls(ctx, rows)
+        return cls(ctx, Subspace.full(n_plus_1, ctx).rows)
 
     @property
     def n_plus_1(self):
@@ -89,25 +90,30 @@ class GroupElement:
 
     def inverse(self):
         "Inverse by Gauss-Jordan on the augmented matrix."
-        n = self.n_plus_1
-        ctx = self.ctx
-        aug = [
-            list(self.matrix[i])
-            + [ctx.one if j == i else ctx.zero for j in range(n)]
-            for i in range(n)
-        ]
-        ech, rank = rref(aug)
-        if rank < n:
+        n, unit = self.n_plus_1, Subspace.full(self.n_plus_1, self.ctx).rows
+        ech, _ = rref([r + e for r, e in zip(self.matrix, unit)])
+        if tuple(r[:n] for r in ech) != unit:  # [M | I] has rank n whatever M is
             raise ValueError("matrix not invertible")
-        return GroupElement(ctx, [r[n:] for r in ech])
+        return GroupElement(self.ctx, [r[n:] for r in ech])
 
-    def action(self):
-        "g's _Action, from its context's cache."
-        return _actions(self.ctx)(self)
+    def line_row(self):
+        """(images, logs), tuples over the lines j of _subspace_order(ctx, n+1):
+        g(u_j) = mu_j * u_images[j], u_j the normalized vector spanning line j,
+        and logs[j] the log of mu_j.  The line permutation is faithful on PGL,
+        so it stands in for g in products and membership."""
+        if self._row is None:
+            index = _subspace_order(self.ctx, self.n_plus_1)
+            images, logs = [], []
+            for u in index.lines:
+                w = self.apply(u)
+                logs.append(next(a for a in w if a).log)
+                images.append(index.line_id[normalize_functional(w)])
+            self._row = tuple(images), tuple(logs)
+        return self._row
 
     def order(self):
         "The order in PGL: the lcm of the cycle lengths of the line permutation."
-        perm, n = self.action().permutation(), 1
+        perm, n = self.line_row()[0], 1
         for start in range(len(perm)):
             length, i = 1, perm[start]
             while i != start:
@@ -132,41 +138,6 @@ class GroupElement:
 
     def __repr__(self):
         return f"GroupElement({self.matrix})"
-
-
-# g -> g's _Action over one field, in a bounded cache: a large group's images are not kept
-_actions = per_field(lambda ctx: lru_cache(maxsize=1 << 13)(_Action))
-
-
-class _Action:
-    """g on the ids of _subspace_order(ctx, n+1).  line(j) is (j', mu) with
-    g(u_j) = mu * u_j', u_j the normalized vector spanning line j, found from
-    the matrix on first use and kept; subspace(s) is the id of g(W_s).  The
-    line permutation is faithful on PGL, so it stands in for g in products,
-    inverses and membership."""
-
-    __slots__ = ("g", "index", "_lines")
-
-    def __init__(self, g):
-        self.g, self.index = g, _subspace_order(g.ctx, g.n_plus_1)
-        self._lines = [None] * len(self.index.lines)
-
-    def line(self, j):
-        image = self._lines[j]
-        if image is None:
-            w = self.g.apply(self.index.lines[j])
-            mu = next(a for a in w if a)
-            image = self._lines[j] = (self.index.line_id[normalize_functional(w)], mu)
-        return image
-
-    def subspace(self, s):
-        members = self.index.line_coords[s]
-        if len(members) in (0, len(self._lines)):
-            return s  # every element fixes the zero space and V
-        return self.index.by_lines[sum(1 << self.line(j)[0] for j in members)]
-
-    def permutation(self):
-        return tuple(self.line(j)[0] for j in range(len(self._lines)))
 
 
 @per_field
@@ -232,64 +203,58 @@ def fixes(x, g):
     """Exactly act(x, g) == x, without building act(x, g).
 
     Each kind compares x.g with x piece by piece and stops at the first
-    piece that differs: l o g with l up to scale, read on the columns of g
-    (P); r o g with lam * r on the vector spanning each line, which by the
-    scaling axiom r(c v) = r(v) / c compares them on every vector (Q); and
-    the family subspace by subspace, largest first (B).
+    piece that differs: l o g with l up to scale on the basis vectors (P);
+    1/r o g with 1/r up to scale on the vector spanning each line, which by
+    the scaling axiom r(c v) = r(v) / c compares them on every vector (Q);
+    and the family subspace by subspace, largest first (B).
     """
     return _fixes_test(x)(g)
 
 
 def _fixes_test(x):
-    """fixes(x, .), with what depends only on x built once.  For B the large
-    subspaces carry the most constraints, so most group elements fail on the
-    first few; lines are skipped, as a normalized functional on a line is
-    (1,), whatever the point and g."""
-    index, actions = _subspace_order(x.ctx, x.n_plus_1), _actions(x.ctx)
+    """fixes(x, .), with what depends only on x built once: checks (s, lines,
+    f) that f_{g(W)} o g is a nonzero multiple of f = f_W on those lines of
+    W = W_s, values as logs, f_{g(W)}(g(u_j)) being mu_j * f_{g(W)}(u_g(j)).
+    P has one check, l on V's basis; Q one, 1/r on every line, as 1/r scales
+    like a functional and r o g = lam * r iff 1/r o g = 1/lam * 1/r; B one
+    per subspace of dimension two or more, largest first, since most
+    elements fail on the first few (on a line any point's functional is (1,))."""
+    ctx = x.ctx
+    index, order = _subspace_order(ctx, x.n_plus_1), ctx._order
+    full = len(index.line_coords) - 1
     if isinstance(x, PPoint):
-        vectors = product(x.ctx.k_elements, repeat=x.n_plus_1)
-        values = {v: apply_functional(x.coords, v) for v in vectors}
-
-        def test(g):
-            pulled = tuple(values[col] for col in zip(*g.matrix))
-            return functional_ratio(pulled, x.coords) is not None
-
+        values = {full: [apply_functional(x.coords, u).log for u in index.lines]}
+        basis = [index.line_id[e] for e in Subspace.full(x.n_plus_1, ctx).rows]
+        checks = [(full, basis, [a.log for a in x.coords])]
     elif isinstance(x, QPoint):
-        values = [x.table[u] for u in index.lines]
-        first = next(j for j, val in enumerate(values) if val)
-
-        def test(g):
-            # r(g(u_j)) = r(mu * u_j') = r(u_j') / mu must be lam * r(u_j)
-            action = actions(g)
-            image, mu = action.line(first)
-            lam = values[image] * (mu * values[first]).inverse()
-            for j, val in enumerate(values):
-                image, mu = action.line(j)
-                if values[image] != lam * mu * val:
-                    return False
-            return True
-
+        inverse = [-x.table[u].log % order if x.table[u] else 2 * order for u in index.lines]
+        values, checks = {full: inverse}, [(full, range(len(inverse)), inverse)]
     elif isinstance(x, BPoint):
-        # x's line table by subspace id; W's rows as lines
-        values = {index.subspace_id[W]: on_lines for W, on_lines in x.on_lines.items()}
+        values = {index.subspace_id[W]: {j: a.log for j, a in on.items()} for W, on in x.on_lines.items()}
         checks = [
-            (index.subspace_id[W], [index.line_id[r] for r in W.rows], x.family[W])
+            (index.subspace_id[W], [index.line_id[r] for r in W.rows], [a.log for a in x.family[W]])
             for subs in index.by_dim[:1:-1] for W in subs
         ]
-
-        def test(g):
-            # l_{g(W)}(g(r)) = mu * l_{g(W)}(u_j') for g(r) = mu * u_j'
-            action = actions(g)
-            for s, rows, func in checks:
-                image = values[action.subspace(s)]
-                pulled = [mu * image[j] for j, mu in map(action.line, rows)]
-                if normalize_functional(pulled) != func:
-                    return False
-            return True
-
     else:
         raise TypeError(f"not a point: {x!r}")
+
+    def test(g):
+        images, mus = g.line_row()
+        for s, rows, func in checks:
+            image = values[_subspace_image(index, images, s)]
+            if not logs_proportional([mus[j] + image[images[j]] for j in rows], func, order):
+                return False
+        return True
+
     return test
+
+
+def _subspace_image(index, images, s):
+    "The id of g(W_s), given g's line images: W_s is the span of its lines."
+    members = index.line_coords[s]
+    if len(members) in (0, len(images)):
+        return s  # every element fixes the zero space and V
+    return index.by_lines[sum(1 << images[j] for j in members)]
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +271,7 @@ def stabilizer_bruteforce(x, group=None):
     if group is None:
         group = enumerate_pgl(x.n_plus_1, x.ctx)
     stab = list(filter(_fixes_test(x), group))
-    _check_subgroup([g.action().permutation() for g in stab])
+    _check_subgroup([g.line_row()[0] for g in stab])
     return sorted(set(stab), key=GroupElement.sort_key)
 
 
@@ -425,15 +390,15 @@ class _QuotientBlock:
     coords is a functional on big's coordinate space vanishing on small.
     Built once per point: the lines of big's echelon rows that span a
     complement of small, the projection of big's lines onto the complement
-    coordinates, and the _DenseCovector of the induced quotient covector.
-    Only call passes(g) for g leaving big (and small) invariant.
-    """
+    coordinates, the _DenseCovector of the induced quotient covector lbar,
+    and lbar at those projections as logs.  Only call passes(g) for g leaving
+    big (and small) invariant."""
 
-    __slots__ = ("actions", "basis", "to_quotient", "dense")
+    __slots__ = ("basis", "to_quotient", "dense", "on_lines", "lbar", "order")
 
     def __init__(self, big, small, coords, ctx):
         small_c, free, by_coordinate = _quotient_projection(big, small, ctx)
-        index, self.actions = _subspace_order(ctx, big.n_plus_1), _actions(ctx)
+        index = _subspace_order(ctx, big.n_plus_1)
         self.basis = [index.line_id[big.rows[i]] for i in free]
         self.to_quotient = {
             j: tuple(apply_functional(r, c) for r in zip(*by_coordinate))
@@ -441,14 +406,21 @@ class _QuotientBlock:
         }
         _, lbar = quotient_functional(coords, small_c, ctx)
         self.dense = _DenseCovector(lbar, ctx)
+        self.on_lines = {j: apply_functional(lbar, c).log for j, c in self.to_quotient.items()}
+        self.lbar, self.order = [a.log for a in lbar], ctx._order
 
     def induced_columns(self, g):
         "Images of the complement basis under g, in complement coordinates."
-        lines = map(self.actions(g).line, self.basis)
-        return [tuple(mu * a for a in self.to_quotient[image]) for image, mu in lines]
+        images, mus = g.line_row()
+        return [tuple(g.ctx._antilog[mus[j]] * a for a in self.to_quotient[images[j]]) for j in self.basis]
 
     def passes(self, g):
-        return self.dense.witness(self.induced_columns(g)) is not None
+        """Whether the induced map fixes the quotient point: the witness's t = 0
+        ratio, lbar o g = mu * lbar with mu nonzero, on logs, then the witness."""
+        images, mus = g.line_row()
+        pulled = [mus[j] + self.on_lines[images[j]] for j in self.basis]
+        return (logs_proportional(pulled, self.lbar, self.order)
+                and self.dense.witness(self.induced_columns(g)) is not None)
 
 
 def _predicted_blocks(x):
@@ -463,9 +435,7 @@ def _predicted_blocks(x):
     elif isinstance(x, QPoint):
         sub = chain[-2]
         # the covector on the support span, recovered from 1/r on its basis
-        inv_coords = normalize_functional(
-            tuple(x.table[r].inverse() for r in sub.rows)
-        )
+        inv_coords = normalize_functional(x.table[r].inverse() for r in sub.rows)
         blocks = [_QuotientBlock(sub, chain[-1], inv_coords, ctx)]
     else:
         blocks = [
@@ -489,11 +459,11 @@ def stabilizer_predicted(x, group=None):
     if group is None:
         group = enumerate_pgl(x.n_plus_1, x.ctx)
     invariant, blocks = _predicted_blocks(x)
-    actions, out = _actions(x.ctx), []
+    out = []
     for g in group:
         # g is invertible, so g(W) inside W, read on W's rows, means g(W) = W
-        action = actions(g)
-        if not all(action.line(j)[0] in inside for j, inside in invariant):
+        images = g.line_row()[0]
+        if not all(images[j] in inside for j, inside in invariant):
             continue
         if all(block.passes(g) for block in blocks):
             out.append(g)
@@ -551,30 +521,26 @@ def _nilpotent_along_chain(g, c, chain):
 def is_unipotent(g):
     """Order is a power of the characteristic; cross-checked against the
     matrix criterion that some scalar multiple of the representative is
-    id + nilpotent."""
-    p = g.ctx.p
-    n = g.order()
-    while n % p == 0:
-        n //= p
-    by_order = n == 1
-    by_matrix = _unipotent_matrix_criterion(g)
-    if by_order != by_matrix:
-        raise DefectSignal(
-            f"order criterion ({by_order}) and matrix criterion ({by_matrix}) disagree"
-        )
-    return by_order
+    id + nilpotent.  Both are computed once per element and the verdict kept."""
+    if g._unipotent is None:
+        p = g.ctx.p
+        n = g.order()
+        while n % p == 0:
+            n //= p
+        by_order = n == 1
+        by_matrix = _unipotent_matrix_criterion(g)
+        if by_order != by_matrix:
+            raise DefectSignal(f"order criterion ({by_order}) and matrix criterion ({by_matrix}) disagree")
+        g._unipotent = by_order
+    return g._unipotent
 
 
 def _unipotent_matrix_criterion(g):
-    ctx = g.ctx
-    n = g.n_plus_1
-    for c in ctx.k_elements:
+    n, unit = g.n_plus_1, Subspace.full(g.n_plus_1, g.ctx).rows
+    for c in g.ctx.k_elements:
         if not c:
             continue
-        rows = [
-            [c * a - (ctx.one if i == j else ctx.zero) for j, a in enumerate(row)]
-            for i, row in enumerate(g.matrix)
-        ]
+        rows = [[c * a - b for a, b in zip(row, e)] for row, e in zip(g.matrix, unit)]
         # (cM - id)^(n) = 0 iff the matrix is nilpotent
         power = rows
         for _ in range(n - 1):
@@ -604,30 +570,23 @@ def p_core(subgroup):
     p-group.  For the block-shaped stabilizers here this recovers the
     k-points of the unipotent radical of the algebraic stabilizer, which the
     plain unipotent-element set overshoots whenever a stratum leaves an
-    unconstrained diagonal block of dimension at least two.
-    """
-    subgroup = list(subgroup)
-    if not subgroup:
-        return []
-    inverses = [(h, h.inverse()) for h in subgroup]
+    unconstrained diagonal block of dimension at least two.  Conjugates and
+    products are taken on line rows and read back from the subgroup, so each
+    member's unipotent verdict is found once."""
+    by_row = {g.line_row()[0]: g for g in subgroup}
+    inverses = [(h, tuple(sorted(range(len(h)), key=h.__getitem__))) for h in by_row]
     out = []
-    for x in subgroup:
-        if not is_unipotent(x):
+    for x, g in by_row.items():
+        if not is_unipotent(g):
             continue
-        conj = {h.compose(x).compose(h_inv) for h, h_inv in inverses}
-        closure = set(conj)
-        frontier = list(conj)
-        is_p_group = True
-        while frontier and is_p_group:
+        conj = {tuple(h[x[i]] for i in h_inv) for h, h_inv in inverses}
+        closure, frontier = set(conj), list(conj)
+        while frontier and is_unipotent(by_row[frontier[-1]]):
             a = frontier.pop()
-            if not is_unipotent(a):
-                is_p_group = False
-                break
-            for b in conj:
-                c = a.compose(b)
+            for c in (tuple(a[i] for i in b) for b in conj):
                 if c not in closure:
                     closure.add(c)
                     frontier.append(c)
-        if is_p_group:
-            out.append(x)
+        if not frontier:
+            out.append(g)
     return sorted(out, key=GroupElement.sort_key)

@@ -246,6 +246,22 @@ def functional_ratio(u, v):
     return None
 
 
+def logs_proportional(u, v, order):
+    """Whether u = c*v for a nonzero c, the entries given by logs in a field of
+    order + 1 elements: any log from 2*order on, zero's, stands for zero, so
+    a sum of two logs is the log of the product."""
+    zero, c = 2 * order, None
+    for a, b in zip(u, v):
+        if a >= zero or b >= zero:
+            if a < zero or b < zero:
+                return False
+        elif c is None:
+            c = (a - b) % order
+        elif (a - b) % order != c:
+            return False
+    return c is not None
+
+
 def apply_functional(coords, v):
     "Evaluate sum coords_i * v_i."
     ctx = coords[0].ctx
@@ -335,13 +351,17 @@ def _subspace_order(ctx, n_plus_1):
         dict(sorted(zip(map(line_id.get, coords_to_ambient(W, tails[W.dim])), tails[W.dim])))
         for W in subspaces
     )
-    # a subspace is the span of its lines, so a < b iff a's lines are b's
+    # a subspace is the span of its lines, so a < b iff a's lines are b's: b is
+    # among the subspaces through the line of a's first row, listed in order
     bits = [sum(1 << j for j in m) for m in line_coords]
+    through = [[] for _ in lines]
+    for s, members in enumerate(line_coords):
+        for j in members:
+            through[j].append(s)
     above = {
-        a: tuple(
-            b for b, b_bits in zip(subspaces, bits) if b.dim > a.dim and a_bits & ~b_bits == 0
-        )
-        for a, a_bits in zip(subspaces, bits)
+        a: tuple(subspaces[b] for b in through[line_id[a.rows[0]]] if b != s and bits[b] & bits[s] == bits[s])
+        if a.rows else tuple(subspaces[1:])
+        for s, a in enumerate(subspaces)
     }
     return _RationalIndex(
         tuple(by_dim), above, {W: s for s, W in enumerate(subspaces)}, lines,

@@ -273,7 +273,7 @@ def q_validate(table, ctx, n_plus_1):
             lv = tuple(lam * a for a in v)
             if table[lv] != lam.inverse() * rv:
                 return Validation("scaling", (lam, v))
-    if _reciprocal_certificate(table, [v for v in vectors if table[v]], ctx, n_plus_1):
+    if _reciprocal_certificate(table, [v for v in vectors if table[v]], ctx):
         return Validation()
     for v, w in combinations(vectors, 2):
         s = tuple(a + b for a, b in zip(v, w))
@@ -286,15 +286,28 @@ def q_validate(table, ctx, n_plus_1):
     raise DefectSignal("the reciprocal certificate failed on a table with no addition witness")
 
 
-def _reciprocal_certificate(table, support, ctx, n_plus_1):
+def _reciprocal_certificate(table, support, ctx):
     """Whether a table that satisfies scaling satisfies addition: exactly when
-    its support is W minus 0 for W = span(support) and r = 1/l on it, l the
-    linear functional with l = 1/r on W's echelon rows."""
-    span = Subspace.span(n_plus_1, support)
-    if len(support) != nonzero_vectors(span.dim, ctx.q):
-        return False
-    pivots, func = span.pivots(), tuple(table[r].inverse() for r in span.rows)
-    return all(table[v] * apply_functional(func, [v[i] for i in pivots]) == ctx.one for v in support)
+    its support is W minus 0 for W = span(support) and r = 1/l there for a
+    linear l.  Each v is reduced against the echelon rows of the span of the
+    ones before it, l carried along: a v outside fixes l on a new row by
+    l(v) = 1/r(v), and the first v inside with r(v) l(v) != 1 ends the scan."""
+    rows = []  # (pivot, row scaled to 1 there, l(row))
+    for v in support:
+        w, at_v = list(v), ctx.zero
+        for pivot, row, at_row in rows:  # each row is zero at the pivots before it
+            c = w[pivot]
+            if c:
+                w = [a - c * b for a, b in zip(w, row)]
+                at_v = at_v + c * at_row
+        pivot = next((i for i, a in enumerate(w) if a), None)
+        if pivot is None:
+            if table[v] * at_v != ctx.one:
+                return False
+        else:  # l(w) = l(v) - at_v
+            inv = w[pivot].inverse()
+            rows.append((pivot, [inv * a for a in w], inv * (table[v].inverse() - at_v)))
+    return len(support) == nonzero_vectors(len(rows), ctx.q)
 
 
 def _normalize_table(table):
@@ -329,6 +342,11 @@ def q_from_omega(coords, sub, ctx, n_plus_1):
     """
     if rational_kernel(coords, ctx).dim != 0:
         raise ValueError("functional must have trivial rational kernel")
+    return _q_from_dense(coords, sub, ctx, n_plus_1)
+
+
+def _q_from_dense(coords, sub, ctx, n_plus_1):
+    "q_from_omega for coords known to have trivial rational kernel, as _omega's do."
     table = dict.fromkeys(canonical_vectors(n_plus_1, ctx), ctx.zero)
     for v, c in zip(sub.vectors(ctx), product(ctx.k_elements, repeat=sub.dim)):
         if any(c):
@@ -338,10 +356,7 @@ def q_from_omega(coords, sub, ctx, n_plus_1):
 
 def q_enumerate_stratum(sub, ctx, m):
     "All reciprocal maps over k_m supported exactly on the subspace sub."
-    return [
-        q_from_omega(coords, sub, ctx, sub.n_plus_1)
-        for coords in enumerate_omega(sub.dim, ctx, m)
-    ]
+    return [_q_from_dense(coords, sub, ctx, sub.n_plus_1) for coords in _omega(ctx, sub.dim, m)]
 
 
 def q_enumerate(ctx, n_plus_1, m):
@@ -493,6 +508,13 @@ def b_from_flag_data(flag, parts, ctx):
     restriction from the smallest chain member containing it not inside the
     next one, read off that table at W's rows (BPoint normalizes it).
     """
+    if any(rational_kernel(part, ctx).dim != 0 for part in parts):
+        raise ValueError("part must have trivial rational kernel in its quotient")
+    return _b_from_dense_parts(flag, parts, ctx)
+
+
+def _b_from_dense_parts(flag, parts, ctx):
+    "b_from_flag_data for parts known to have trivial rational kernels, as _omega's do."
     chain = flag.chain(ctx)
     if len(parts) != len(chain) - 1:
         raise ValueError(f"need {len(chain) - 1} quotient parts, got {len(parts)}")
@@ -505,8 +527,6 @@ def b_from_flag_data(flag, parts, ctx):
         part = tuple(parts[t])
         if len(part) != len(free):
             raise ValueError("part length must match the quotient dimension")
-        if rational_kernel(part, ctx).dim != 0:
-            raise ValueError("part must have trivial rational kernel in its quotient")
         # value on the i-th coordinate basis vector of C_t: project along C_{t+1}
         func = tuple(apply_functional(part, row) for row in by_coordinate)
         on_lines.append({j: apply_functional(func, c) for j, c in inside[t].items()})
@@ -559,17 +579,15 @@ def b_enumerate_flag(flag, ctx, m):
     "All BPoints over k_m with the given stratum flag."
     chain = flag.chain(ctx)
     dims = [chain[t].dim - chain[t + 1].dim for t in range(len(chain) - 1)]
-    part_choices = [enumerate_omega(d, ctx, m) for d in dims]
-    return [
-        b_from_flag_data(flag, parts, ctx) for parts in product(*part_choices)
-    ]
+    part_choices = [_omega(ctx, d, m) for d in dims]
+    return [_b_from_dense_parts(flag, parts, ctx) for parts in product(*part_choices)]
 
 
 def omega_embed_b(x):
     "The dense embedding of a trivial-stratum PPoint into the family side."
     if p_classify(x).dim != 0:
         raise ValueError("only dense points embed")
-    return b_from_flag_data(Flag.trivial(x.n_plus_1), [x.coords], x.ctx)
+    return _b_from_dense_parts(Flag.trivial(x.n_plus_1), [x.coords], x.ctx)
 
 
 def omega_embed_q(x):
@@ -589,11 +607,12 @@ def rho_map(x):
     """Collapse a family to the reciprocal map supported on its last member.
 
     The table is 1/l_{V_r} on the smallest flag member V_r and zero outside;
-    on dense points this is the classical l -> 1/l.
+    on dense points this is the classical l -> 1/l.  The chain stops where
+    a functional has trivial rational kernel, so l_{V_r} has one.
     """
     chain = _kernel_chain(x)
     sub = chain[-1] if chain else Subspace.full(x.n_plus_1, x.ctx)
-    return q_from_omega(x.family[sub], sub, x.ctx, x.n_plus_1)
+    return _q_from_dense(x.family[sub], sub, x.ctx, x.n_plus_1)
 
 
 # ---------------------------------------------------------------------------

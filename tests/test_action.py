@@ -29,7 +29,13 @@ from drinfeld import (
     unipotent_elements,
     unipotent_radical_k,
 )
-from drinfeld.action import GroupElement, _check_subgroup
+from drinfeld.action import (
+    GroupElement,
+    _check_subgroup,
+    _predicted_blocks,
+    _unipotent_matrix_criterion,
+    is_unipotent,
+)
 from drinfeld.errors import InvariantViolation
 from drinfeld.points import b_classify, enumerate_omega, flag_str, subspace_str, vector_str
 
@@ -69,6 +75,12 @@ def test_inverse_and_order(ctx64):
     for g in enumerate_pgl(2, ctx64):
         assert g.compose(g.inverse()).is_identity()
         assert g.order() in (1, 2, 3)
+
+
+def test_inverse_rejects_a_singular_matrix(ctx729):
+    one = ctx729.one
+    with pytest.raises(ValueError, match="not invertible"):
+        GroupElement(ctx729, ((one, one), (one, one))).inverse()
 
 
 # --- actions ----------------------------------------------------------------
@@ -123,7 +135,7 @@ def test_omega_point_stabilizer_is_cyclic_of_order_three(ctx64, omega4):
 
 def test_subgroup_check_rejects_non_subgroups(ctx64, omega4):
     stab = stabilizer_bruteforce(PPoint(ctx64, (ctx64.one, omega4)))
-    perms = [g.action().permutation() for g in stab]
+    perms = [g.line_row()[0] for g in stab]
     _check_subgroup(perms)
     identity = tuple(range(len(perms[0])))
     a = next(p for g, p in zip(stab, perms) if g.order() == 3)
@@ -166,6 +178,28 @@ def test_fixes_agrees_with_acting(ctx64, ctx729):
         for x in points:
             for g in group:
                 assert fixes(x, g) == (act(x, g) == x)
+
+
+def _outcome(f, g):
+    "f(g), or KeyError if g moves a line of the block out of it, as f then raises."
+    try:
+        return f(g)
+    except KeyError:
+        return KeyError
+
+
+def test_quotient_block_pretest_decides_as_the_witness(ctx64, ctx729):
+    # the t = 0 pre-test on logs only turns away what the full witness turns away
+    cases = [(ctx64, 3, m, "PQB") for m in (1, 2)] + [(ctx729, 2, m, "PQB") for m in (1, 2)]
+    cases.append((ctx64, 3, 3, "P"))
+    enumerate_kind = {"P": p_enumerate, "Q": q_enumerate, "B": b_enumerate}
+    for ctx, n_plus_1, m, kinds in cases:
+        group = enumerate_pgl(n_plus_1, ctx)
+        for x in (x for kind in kinds for x in enumerate_kind[kind](ctx, n_plus_1, m)):
+            for block in _predicted_blocks(x)[1]:
+                for g in group:
+                    assert _outcome(block.passes, g) == _outcome(
+                        lambda g: block.dense.witness(block.induced_columns(g)) is not None, g)
 
 
 def test_rational_point_stabilizer_is_full_parabolic(ctx64):
@@ -266,6 +300,18 @@ def test_unipotent_elements_of_pgl22(ctx64):
     assert unipotent_elements([GroupElement.identity(2, ctx64)]) == [
         GroupElement.identity(2, ctx64)
     ]
+
+
+def test_kept_unipotent_verdict_equals_both_criteria(ctx64, ctx729):
+    for ctx, n_plus_1 in ((ctx64, 3), (ctx729, 2), (context_for(2, 2, 2, [1]), 2)):
+        for g in enumerate_pgl(n_plus_1, ctx):
+            verdict = is_unipotent(g)
+            fresh = GroupElement(ctx, g.matrix)  # no row and no verdict kept yet
+            order = fresh.order()
+            while order % ctx.p == 0:
+                order //= ctx.p
+            assert verdict == (order == 1) == _unipotent_matrix_criterion(fresh)
+            assert is_unipotent(g) is verdict
 
 
 def test_semisimple_stabilizer_has_trivial_unipotent_part(ctx64, omega4):

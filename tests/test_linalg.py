@@ -18,7 +18,7 @@ from drinfeld import (
     rational_kernel,
     rref,
 )
-from drinfeld.action import GroupElement, enumerate_pgl
+from drinfeld.action import GroupElement, _subspace_image, enumerate_pgl
 from drinfeld.linalg import _subspace_order, apply_functional, normalize_functional
 
 
@@ -212,6 +212,19 @@ def test_subspace_order_against_direct_containment(ctx64, ctx729):
         assert enumerate_flags(n_plus_1, ctx) == flags
 
 
+@pytest.mark.parametrize("q, n_plus_1", [(2, 3), (3, 2), (2, 4), (4, 2)])
+def test_superspaces_against_all_pairs(q, n_plus_1):
+    "The superspace table, read through each line's subspaces, against the comparison of every pair."
+    ctx = context_for(*{2: (2, 1), 3: (3, 1), 4: (2, 2)}[q], n_plus_1, [1])
+    index = _subspace_order(ctx, n_plus_1)
+    subs = [W for d in index.by_dim for W in d]
+    bits = [sum(1 << j for j in m) for m in index.line_coords]
+    assert index.above == {
+        a: tuple(b for b, b_bits in zip(subs, bits) if b.dim > a.dim and a_bits & ~b_bits == 0)
+        for a, a_bits in zip(subs, bits)
+    }
+
+
 def _order_by_matrix_powers(g):
     "The order of g in PGL by multiplying matrices until the identity."
     identity = GroupElement.identity(g.n_plus_1, g.ctx)
@@ -223,7 +236,7 @@ def _order_by_matrix_powers(g):
 
 
 def test_group_action_against_matrices(ctx64, ctx729):
-    """Slow oracle for the line action of group elements: g.apply on every
+    """Slow oracle for the line rows of group elements: g.apply on every
     nonzero vector, g.apply_subspace on every subspace, composition and the
     order by matrix products."""
     ctx4 = context_for(2, 2, 2, [1, 2])  # k = GF(4)
@@ -232,27 +245,28 @@ def test_group_action_against_matrices(ctx64, ctx729):
         index = _subspace_order(ctx, n_plus_1)
         subs = all_subspaces(n_plus_1, ctx)
         units = [c for c in ctx.k_elements if c]
+        by_log = {a.log: a for a in ctx.elements()}
         group = enumerate_pgl(n_plus_1, ctx)
         for g in group:
-            action = g.action()
+            images, logs = g.line_row()
             for j, u in enumerate(index.lines):
-                image, mu = action.line(j)
+                mu = by_log[logs[j]]
                 for c in units:
                     assert g.apply(tuple(c * a for a in u)) == tuple(
-                        c * mu * a for a in index.lines[image]
+                        c * mu * a for a in index.lines[images[j]]
                     )
-            assert [subs[action.subspace(s)] for s in range(len(subs))] == [
+            assert [subs[_subspace_image(index, images, s)] for s in range(len(subs))] == [
                 g.apply_subspace(W) for W in subs
             ]
             assert g.order() == _order_by_matrix_powers(g)
-        assert len({g.action().permutation() for g in group}) == len(group)
+        assert len({g.line_row()[0] for g in group}) == len(group)
         for g, h in (rng.sample(group, 2) for _ in range(200)):
             # scalars are left out: the product's representative may differ
             # from the product of the representatives by a scalar
-            gh, ga, ha = g.compose(h).action(), g.action(), h.action()
-            assert gh.permutation() == tuple(ga.permutation()[j] for j in ha.permutation())
-            assert [gh.subspace(s) for s in range(len(subs))] == [
-                ga.subspace(ha.subspace(s)) for s in range(len(subs))
+            gh, ga, ha = g.compose(h).line_row()[0], g.line_row()[0], h.line_row()[0]
+            assert gh == tuple(ga[j] for j in ha)
+            assert [_subspace_image(index, gh, s) for s in range(len(subs))] == [
+                _subspace_image(index, ga, _subspace_image(index, ha, s)) for s in range(len(subs))
             ]
 
 

@@ -365,6 +365,28 @@ def test_b_from_flag_data_rejects_degenerate_part(ctx64):
         b_from_flag_data(Flag(2, (V1,)), [(ctx64.one,)], ctx64)
 
 
+def test_public_builders_reject_a_part_with_a_kernel(ctx64, omega4):
+    # enumeration builds from _omega's parts without checking their kernels
+    # again; every public entry point still checks the parts it is given
+    kernel = "trivial rational kernel"
+    one, zero = ctx64.one, ctx64.zero
+    c = (one, one, zero)  # vanishes on the rational vectors (1, 1, 0) and (0, 0, 1)
+    full = Subspace.full(3, ctx64)
+    with pytest.raises(ValueError, match=kernel):
+        q_from_omega(c, full, ctx64, 3)
+    with pytest.raises(ValueError, match=kernel):
+        omega_embed_q(PPoint(ctx64, c))
+    with pytest.raises(ValueError, match=kernel):
+        b_from_flag_data(Flag.trivial(3), [c], ctx64)
+    with pytest.raises(ValueError, match="only dense points embed"):
+        omega_embed_b(PPoint(ctx64, c))
+    # a nontrivial flag: the line is fine, the 2-dimensional quotient part is not
+    line = Subspace.span(3, [vecs(ctx64, 0, 0, 1)])
+    with pytest.raises(ValueError, match=kernel):
+        b_from_flag_data(Flag(3, (line,)), [(one, one), (one,)], ctx64)
+    assert b_classify(b_from_flag_data(Flag(3, (line,)), [(one, omega4), (one,)], ctx64)) == Flag(3, (line,))
+
+
 def test_b_counts(ctx64):
     # dim V = 2: the family side has as many points as the covector side
     for m in (1, 2, 3):
