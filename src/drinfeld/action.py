@@ -9,11 +9,13 @@ scalars on the twist span of a dense quotient point (fixpoint_check_omega).
 
 Brute force asks fixes(x, g) of every g, which answers act(x, g) == x
 without building the moved point and stops at the first mismatch.  Both
-routes read g through its line row, found from the matrix on first use
-and kept on the element for as long as it lives: for every line j of V,
-the id of g(j) and the log of the scalar carrying j's normalized vector
-there.  Points turn their values on the lines into logs once, so the
-brute-force tests and the first step of each predicted block test are
+routes first read g's columns, the images of V's basis, in a table of the
+point's values on V's vectors (l, 1/r or l_V), which for most points
+rejects most elements at once.  What an element that passes is asked
+about other lines is read from its line row: for each line j of V, the id
+of g(j) and the log of the scalar carrying j's normalized vector there,
+found from the matrix on first read and kept on the element.  Points turn
+their values into logs once, so each test is
 linalg.logs_proportional over integers, and g(W) = W is read off the
 images of W's echelon rows.  act, apply, compose and inverse stay on
 matrices as the oracle the tests compare with.
@@ -42,6 +44,7 @@ from .points import (
     PPoint,
     QPoint,
     _quotient_projection,
+    canonical_vectors,
     b_classify,
     p_classify,
     q_classify,
@@ -69,7 +72,11 @@ class GroupElement:
 
     @classmethod
     def identity(cls, n_plus_1, ctx):
-        return cls(ctx, Subspace.full(n_plus_1, ctx).rows)
+        rows = [
+            [ctx.one if i == j else ctx.zero for j in range(n_plus_1)]
+            for i in range(n_plus_1)
+        ]
+        return cls(ctx, rows)
 
     @property
     def n_plus_1(self):
@@ -90,30 +97,35 @@ class GroupElement:
 
     def inverse(self):
         "Inverse by Gauss-Jordan on the augmented matrix."
-        n, unit = self.n_plus_1, Subspace.full(self.n_plus_1, self.ctx).rows
-        ech, _ = rref([r + e for r, e in zip(self.matrix, unit)])
-        if tuple(r[:n] for r in ech) != unit:  # [M | I] has rank n whatever M is
+        n = self.n_plus_1
+        ctx = self.ctx
+        aug = [
+            list(self.matrix[i])
+            + [ctx.one if j == i else ctx.zero for j in range(n)]
+            for i in range(n)
+        ]
+        ech, _ = rref(aug)
+        # [M | I] has rank n whatever M is: M is invertible iff every pivot
+        # lies in the left half, on the diagonal
+        if any(ech[i][i] != ctx.one for i in range(n)):
             raise ValueError("matrix not invertible")
-        return GroupElement(self.ctx, [r[n:] for r in ech])
+        return GroupElement(ctx, [r[n:] for r in ech])
 
-    def line_row(self):
-        """(images, logs), tuples over the lines j of _subspace_order(ctx, n+1):
-        g(u_j) = mu_j * u_images[j], u_j the normalized vector spanning line j,
-        and logs[j] the log of mu_j.  The line permutation is faithful on PGL,
-        so it stands in for g in products and membership."""
+    def row(self):
+        "g's _LineRow, made on first use and kept on g."
         if self._row is None:
-            index = _subspace_order(self.ctx, self.n_plus_1)
-            images, logs = [], []
-            for u in index.lines:
-                w = self.apply(u)
-                logs.append(next(a for a in w if a).log)
-                images.append(index.line_id[normalize_functional(w)])
-            self._row = tuple(images), tuple(logs)
+            self._row = _LineRow(self.ctx, self.matrix)
         return self._row
+
+    def permutation(self):
+        """The line permutation j -> j', every line read from the row.  It is
+        faithful on PGL, so it stands in for g in products and membership."""
+        row = self.row()
+        return tuple(row[j][0] for j in range(len(row.lines)))
 
     def order(self):
         "The order in PGL: the lcm of the cycle lengths of the line permutation."
-        perm, n = self.line_row()[0], 1
+        perm, n = self.permutation(), 1
         for start in range(len(perm)):
             length, i = 1, perm[start]
             while i != start:
@@ -138,6 +150,38 @@ class GroupElement:
 
     def __repr__(self):
         return f"GroupElement({self.matrix})"
+
+
+class _LineRow(dict):
+    """A group element's line row, filled line by line: row[j] = (j', log mu)
+    with g(u_j) = mu * u_j', u_j the normalized vector spanning line j of
+    _subspace_order(ctx, n+1).  A line is found from the matrix on its first
+    read, by one matrix-vector product, and kept for as long as g lives, with
+    no size bound; the lines a test never reads are never computed, so an
+    element rejected after a few lines costs a few products."""
+
+    __slots__ = ("matrix", "lines", "pairs")
+
+    def __init__(self, ctx, matrix):
+        self.matrix = matrix
+        self.lines = _subspace_order(ctx, len(matrix)).lines
+        self.pairs = _line_pairs(ctx, len(matrix))
+
+    def __missing__(self, j):
+        u = self.lines[j]
+        pair = self[j] = self.pairs[tuple(apply_functional(r, u) for r in self.matrix)]
+        return pair
+
+
+@per_field
+def _line_pairs(ctx, n_plus_1):
+    "Each nonzero vector mu * u_j of k^(n+1) to (j, log mu), u_j as in _LineRow."
+    return {
+        tuple(c * a for a in u): (j, c.log)
+        for j, u in enumerate(_subspace_order(ctx, n_plus_1).lines)
+        for c in ctx.k_elements
+        if c
+    }
 
 
 @per_field
@@ -203,58 +247,94 @@ def fixes(x, g):
     """Exactly act(x, g) == x, without building act(x, g).
 
     Each kind compares x.g with x piece by piece and stops at the first
-    piece that differs: l o g with l up to scale on the basis vectors (P);
-    1/r o g with 1/r up to scale on the vector spanning each line, which by
-    the scaling axiom r(c v) = r(v) / c compares them on every vector (Q);
-    and the family subspace by subspace, largest first (B).
+    piece that differs: l o g with l up to scale, read on the columns of g
+    (P); 1/r o g with 1/r up to scale on the columns, then on the vector
+    spanning each line of the support, which by the scaling axiom
+    r(c v) = r(v) / c compares them on every vector (Q); and the family
+    subspace by subspace, V on the columns first, then largest first (B).
     """
     return _fixes_test(x)(g)
 
 
 def _fixes_test(x):
-    """fixes(x, .), with what depends only on x built once: checks (s, lines,
-    f) that f_{g(W)} o g is a nonzero multiple of f = f_W on those lines of
-    W = W_s, values as logs, f_{g(W)}(g(u_j)) being mu_j * f_{g(W)}(u_g(j)).
-    P has one check, l on V's basis; Q one, 1/r on every line, as 1/r scales
-    like a functional and r o g = lam * r iff 1/r o g = 1/lam * 1/r; B one
-    per subspace of dimension two or more, largest first, since most
-    elements fail on the first few (on a line any point's functional is (1,))."""
+    """fixes(x, .), with what depends only on x built once, values as logs.
+
+    The first check, f = f_V, reads g's columns in a table of f on the
+    vectors of V, so an element that fails it gets no line row.  The others
+    are (s, lines, f): f_{g(W)} o g a nonzero multiple of f = f_W on those
+    lines of W = W_s, f_{g(W)}(g(u_j)) being mu_j * f_{g(W)}(u_j').  P has
+    none.  Q has one, 1/r on the lines of its support S, as 1/r scales like
+    a functional and r o g = lam * r iff 1/r o g = 1/lam * 1/r: once g maps
+    S's lines into S, it maps every other line off S, where both are 0.  B
+    has one per subspace of dimension n down to 2, largest first, since most
+    elements fail on the first few (on a line any point's functional is (1,)).
+    """
     ctx = x.ctx
     index, order = _subspace_order(ctx, x.n_plus_1), ctx._order
     full = len(index.line_coords) - 1
-    if isinstance(x, PPoint):
-        values = {full: [apply_functional(x.coords, u).log for u in index.lines]}
-        basis = [index.line_id[e] for e in Subspace.full(x.n_plus_1, ctx).rows]
-        checks = [(full, basis, [a.log for a in x.coords])]
-    elif isinstance(x, QPoint):
-        inverse = [-x.table[u].log % order if x.table[u] else 2 * order for u in index.lines]
-        values, checks = {full: inverse}, [(full, range(len(inverse)), inverse)]
-    elif isinstance(x, BPoint):
-        values = {index.subspace_id[W]: {j: a.log for j, a in on.items()} for W, on in x.on_lines.items()}
-        checks = [
-            (index.subspace_id[W], [index.line_id[r] for r in W.rows], [a.log for a in x.family[W]])
-            for subs in index.by_dim[:1:-1] for W in subs
+    values, checks = {}, []
+    if isinstance(x, QPoint):
+        values[full] = [
+            -x.table[u].log % order if x.table[u] else 2 * order for u in index.lines
         ]
-    else:
-        raise TypeError(f"not a point: {x!r}")
+        support = [j for j, u in enumerate(index.lines) if x.table[u]]
+        checks.append((full, support, [values[full][j] for j in support]))
+    elif isinstance(x, BPoint):
+        for W, on in x.on_lines.items():
+            values[index.subspace_id[W]] = {j: a.log for j, a in on.items()}
+        checks = [
+            (
+                index.subspace_id[W],
+                [index.line_id[r] for r in W.rows],
+                [a.log for a in x.family[W]],
+            )
+            for subs in index.by_dim[-2:1:-1]
+            for W in subs
+        ]
+    on_columns = _column_test(x)
 
     def test(g):
-        images, mus = g.line_row()
+        if not on_columns(g):
+            return False
+        if not checks:
+            return True
+        row = g.row()
         for s, rows, func in checks:
-            image = values[_subspace_image(index, images, s)]
-            if not logs_proportional([mus[j] + image[images[j]] for j in rows], func, order):
+            image = values[_subspace_image(index, row, s)]
+            pulled = [mu + image[j] for j, mu in map(row.__getitem__, rows)]
+            if not logs_proportional(pulled, func, order):
                 return False
         return True
 
     return test
 
 
-def _subspace_image(index, images, s):
-    "The id of g(W_s), given g's line images: W_s is the span of its lines."
+def _column_test(x):
+    """The test that f o g is a nonzero multiple of f on V's basis, f the
+    values of x on V (l for P, 1/r for Q, l_V for B): read on g's columns
+    g(e_i) in a table of f's logs on the nonzero vectors of V, so it needs
+    no line row.  Where f vanishes on the whole basis (1/r of a Q point
+    can), the test is that f o g does too."""
+    ctx, n_plus_1, order = x.ctx, x.n_plus_1, x.ctx._order
+    if isinstance(x, QPoint):
+        logs = {v: -r.log % order if r else 2 * order for v, r in x.table.items()}
+    elif isinstance(x, (PPoint, BPoint)):
+        coords = x.coords if isinstance(x, PPoint) else x.family[Subspace.full(n_plus_1, ctx)]
+        logs = {v: apply_functional(coords, v).log for v in canonical_vectors(n_plus_1, ctx)}
+    else:
+        raise TypeError(f"not a point: {x!r}")
+    base = [logs[e] for e in zip(*GroupElement.identity(n_plus_1, ctx).matrix)]
+    if min(base) >= 2 * order:
+        return lambda g: min(logs[c] for c in zip(*g.matrix)) >= 2 * order
+    return lambda g: logs_proportional([logs[c] for c in zip(*g.matrix)], base, order)
+
+
+def _subspace_image(index, row, s):
+    "The id of g(W_s), given g's line row: W_s is the span of its lines."
     members = index.line_coords[s]
-    if len(members) in (0, len(images)):
+    if len(members) in (0, len(index.lines)):
         return s  # every element fixes the zero space and V
-    return index.by_lines[sum(1 << images[j] for j in members)]
+    return index.by_lines[sum(1 << row[j][0] for j in members)]
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +351,7 @@ def stabilizer_bruteforce(x, group=None):
     if group is None:
         group = enumerate_pgl(x.n_plus_1, x.ctx)
     stab = list(filter(_fixes_test(x), group))
-    _check_subgroup([g.line_row()[0] for g in stab])
+    _check_subgroup([g.permutation() for g in stab])
     return sorted(set(stab), key=GroupElement.sort_key)
 
 
@@ -390,11 +470,11 @@ class _QuotientBlock:
     coords is a functional on big's coordinate space vanishing on small.
     Built once per point: the lines of big's echelon rows that span a
     complement of small, the projection of big's lines onto the complement
-    coordinates, the _DenseCovector of the induced quotient covector lbar,
-    and lbar at those projections as logs.  Only call passes(g) for g leaving
-    big (and small) invariant."""
+    coordinates, and the _DenseCovector of the induced quotient covector.
+    Only call passes(g) for g leaving big (and small) invariant.
+    """
 
-    __slots__ = ("basis", "to_quotient", "dense", "on_lines", "lbar", "order")
+    __slots__ = ("basis", "to_quotient", "dense")
 
     def __init__(self, big, small, coords, ctx):
         small_c, free, by_coordinate = _quotient_projection(big, small, ctx)
@@ -406,21 +486,17 @@ class _QuotientBlock:
         }
         _, lbar = quotient_functional(coords, small_c, ctx)
         self.dense = _DenseCovector(lbar, ctx)
-        self.on_lines = {j: apply_functional(lbar, c).log for j, c in self.to_quotient.items()}
-        self.lbar, self.order = [a.log for a in lbar], ctx._order
 
     def induced_columns(self, g):
         "Images of the complement basis under g, in complement coordinates."
-        images, mus = g.line_row()
-        return [tuple(g.ctx._antilog[mus[j]] * a for a in self.to_quotient[images[j]]) for j in self.basis]
+        antilog = g.ctx._antilog
+        return [
+            tuple(antilog[mu] * a for a in self.to_quotient[image])
+            for image, mu in map(g.row().__getitem__, self.basis)
+        ]
 
     def passes(self, g):
-        """Whether the induced map fixes the quotient point: the witness's t = 0
-        ratio, lbar o g = mu * lbar with mu nonzero, on logs, then the witness."""
-        images, mus = g.line_row()
-        pulled = [mus[j] + self.on_lines[images[j]] for j in self.basis]
-        return (logs_proportional(pulled, self.lbar, self.order)
-                and self.dense.witness(self.induced_columns(g)) is not None)
+        return self.dense.witness(self.induced_columns(g)) is not None
 
 
 def _predicted_blocks(x):
@@ -435,7 +511,9 @@ def _predicted_blocks(x):
     elif isinstance(x, QPoint):
         sub = chain[-2]
         # the covector on the support span, recovered from 1/r on its basis
-        inv_coords = normalize_functional(x.table[r].inverse() for r in sub.rows)
+        inv_coords = normalize_functional(
+            tuple(x.table[r].inverse() for r in sub.rows)
+        )
         blocks = [_QuotientBlock(sub, chain[-1], inv_coords, ctx)]
     else:
         blocks = [
@@ -443,8 +521,12 @@ def _predicted_blocks(x):
             for t in range(len(chain) - 1)
         ]
     index = _subspace_order(ctx, x.n_plus_1)
-    return [(index.line_id[r], index.line_coords[index.subspace_id[m]])
-            for m in flag.members for r in m.rows], blocks
+    invariant = [
+        (index.line_id[r], index.line_coords[index.subspace_id[m]])
+        for m in flag.members
+        for r in m.rows
+    ]
+    return invariant, blocks
 
 
 def stabilizer_predicted(x, group=None):
@@ -455,15 +537,24 @@ def stabilizer_predicted(x, group=None):
     support span V' and g restricted to V' passes the check against 1/r.
     B: g fixes the stratum flag and every induced diagonal block passes the
     check against its quotient covector.
+
+    Every element the description keeps passes _column_test(x), f o g =
+    mu * f on V's basis for f = l, 1/r or l_V: g fixes V' (P, Q) or the
+    flag (B), and the check of the block on V / V' (Q: on V'; B: the top
+    block) holds at its first step, t = 0.  That is read on g's columns
+    first, and only the elements it keeps get line rows.
     """
     if group is None:
         group = enumerate_pgl(x.n_plus_1, x.ctx)
     invariant, blocks = _predicted_blocks(x)
+    on_columns = _column_test(x)
     out = []
     for g in group:
+        if not on_columns(g):
+            continue
         # g is invertible, so g(W) inside W, read on W's rows, means g(W) = W
-        images = g.line_row()[0]
-        if not all(images[j] in inside for j, inside in invariant):
+        row = g.row()
+        if not all(row[j][0] in inside for j, inside in invariant):
             continue
         if all(block.passes(g) for block in blocks):
             out.append(g)
@@ -530,17 +621,23 @@ def is_unipotent(g):
         by_order = n == 1
         by_matrix = _unipotent_matrix_criterion(g)
         if by_order != by_matrix:
-            raise DefectSignal(f"order criterion ({by_order}) and matrix criterion ({by_matrix}) disagree")
+            raise DefectSignal(
+                f"order criterion ({by_order}) and matrix criterion ({by_matrix}) disagree"
+            )
         g._unipotent = by_order
     return g._unipotent
 
 
 def _unipotent_matrix_criterion(g):
-    n, unit = g.n_plus_1, Subspace.full(g.n_plus_1, g.ctx).rows
-    for c in g.ctx.k_elements:
+    ctx = g.ctx
+    n = g.n_plus_1
+    for c in ctx.k_elements:
         if not c:
             continue
-        rows = [[c * a - b for a, b in zip(row, e)] for row, e in zip(g.matrix, unit)]
+        rows = [
+            [c * a - (ctx.one if i == j else ctx.zero) for j, a in enumerate(row)]
+            for i, row in enumerate(g.matrix)
+        ]
         # (cM - id)^(n) = 0 iff the matrix is nilpotent
         power = rows
         for _ in range(n - 1):
@@ -570,23 +667,31 @@ def p_core(subgroup):
     p-group.  For the block-shaped stabilizers here this recovers the
     k-points of the unipotent radical of the algebraic stabilizer, which the
     plain unipotent-element set overshoots whenever a stratum leaves an
-    unconstrained diagonal block of dimension at least two.  Conjugates and
-    products are taken on line rows and read back from the subgroup, so each
-    member's unipotent verdict is found once."""
-    by_row = {g.line_row()[0]: g for g in subgroup}
-    inverses = [(h, tuple(sorted(range(len(h)), key=h.__getitem__))) for h in by_row]
+    unconstrained diagonal block of dimension at least two.
+
+    Conjugates and products are taken on line permutations and read back
+    from the subgroup, so each member's unipotent verdict is found once; the
+    members must form a group, and ValueError says when a product is not
+    among them.
+    """
+    by_perm = {g.permutation(): g for g in subgroup}
+    inverses = [(h, tuple(sorted(range(len(h)), key=h.__getitem__))) for h in by_perm]
     out = []
-    for x, g in by_row.items():
+    for x, g in by_perm.items():
         if not is_unipotent(g):
             continue
         conj = {tuple(h[x[i]] for i in h_inv) for h, h_inv in inverses}
         closure, frontier = set(conj), list(conj)
-        while frontier and is_unipotent(by_row[frontier[-1]]):
+        while frontier:
             a = frontier.pop()
+            if a not in by_perm:
+                raise ValueError("not a subgroup: a conjugate or product is not a member")
+            if not is_unipotent(by_perm[a]):
+                break
             for c in (tuple(a[i] for i in b) for b in conj):
                 if c not in closure:
                     closure.add(c)
                     frontier.append(c)
-        if not frontier:
+        else:
             out.append(g)
     return sorted(out, key=GroupElement.sort_key)

@@ -359,8 +359,13 @@ def _subspace_order(ctx, n_plus_1):
         for j in members:
             through[j].append(s)
     above = {
-        a: tuple(subspaces[b] for b in through[line_id[a.rows[0]]] if b != s and bits[b] & bits[s] == bits[s])
-        if a.rows else tuple(subspaces[1:])
+        a: tuple(
+            subspaces[b]
+            for b in through[line_id[a.rows[0]]]
+            if b != s and bits[b] & bits[s] == bits[s]
+        )
+        if a.rows
+        else tuple(subspaces[1:])
         for s, a in enumerate(subspaces)
     }
     return _RationalIndex(

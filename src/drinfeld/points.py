@@ -356,7 +356,10 @@ def _q_from_dense(coords, sub, ctx, n_plus_1):
 
 def q_enumerate_stratum(sub, ctx, m):
     "All reciprocal maps over k_m supported exactly on the subspace sub."
-    return [_q_from_dense(coords, sub, ctx, sub.n_plus_1) for coords in _omega(ctx, sub.dim, m)]
+    return [
+        _q_from_dense(coords, sub, ctx, sub.n_plus_1)
+        for coords in _omega(ctx, sub.dim, m)
+    ]
 
 
 def q_enumerate(ctx, n_plus_1, m):

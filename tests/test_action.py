@@ -32,6 +32,7 @@ from drinfeld import (
 from drinfeld.action import (
     GroupElement,
     _check_subgroup,
+    _column_test,
     _predicted_blocks,
     _unipotent_matrix_criterion,
     is_unipotent,
@@ -135,7 +136,7 @@ def test_omega_point_stabilizer_is_cyclic_of_order_three(ctx64, omega4):
 
 def test_subgroup_check_rejects_non_subgroups(ctx64, omega4):
     stab = stabilizer_bruteforce(PPoint(ctx64, (ctx64.one, omega4)))
-    perms = [g.line_row()[0] for g in stab]
+    perms = [g.permutation() for g in stab]
     _check_subgroup(perms)
     identity = tuple(range(len(perms[0])))
     a = next(p for g, p in zip(stab, perms) if g.order() == 3)
@@ -180,26 +181,22 @@ def test_fixes_agrees_with_acting(ctx64, ctx729):
                 assert fixes(x, g) == (act(x, g) == x)
 
 
-def _outcome(f, g):
-    "f(g), or KeyError if g moves a line of the block out of it, as f then raises."
-    try:
-        return f(g)
-    except KeyError:
-        return KeyError
-
-
-def test_quotient_block_pretest_decides_as_the_witness(ctx64, ctx729):
-    # the t = 0 pre-test on logs only turns away what the full witness turns away
+def test_column_test_keeps_what_the_description_keeps(ctx64, ctx729):
+    # the predicted route reads the column test first: every element that
+    # fixes the stratum flag and passes every block check must pass it
     cases = [(ctx64, 3, m, "PQB") for m in (1, 2)] + [(ctx729, 2, m, "PQB") for m in (1, 2)]
     cases.append((ctx64, 3, 3, "P"))
     enumerate_kind = {"P": p_enumerate, "Q": q_enumerate, "B": b_enumerate}
     for ctx, n_plus_1, m, kinds in cases:
         group = enumerate_pgl(n_plus_1, ctx)
         for x in (x for kind in kinds for x in enumerate_kind[kind](ctx, n_plus_1, m)):
-            for block in _predicted_blocks(x)[1]:
-                for g in group:
-                    assert _outcome(block.passes, g) == _outcome(
-                        lambda g: block.dense.witness(block.induced_columns(g)) is not None, g)
+            _, blocks = _predicted_blocks(x)
+            on_columns, members = _column_test(x), stratum_flag(x).members
+            for g in group:
+                kept = all(g.apply_subspace(W) == W for W in members) and all(
+                    block.passes(g) for block in blocks
+                )
+                assert on_columns(g) or not kept
 
 
 def test_rational_point_stabilizer_is_full_parabolic(ctx64):
@@ -327,6 +324,16 @@ def test_p_core_of_full_parabolic(ctx64):
     rad = unipotent_radical_k(stratum_flag(x), ctx64)
     assert len(unipotent_elements(stab)) == 16
     assert p_core(stab) == rad and len(rad) == 4
+
+
+def test_p_core_rejects_a_set_that_is_not_a_subgroup(ctx64):
+    # two unipotent elements that do not commute, with the identity: their
+    # products are missing, and p_core says so instead of raising KeyError
+    group = enumerate_pgl(3, ctx64)
+    uni = [g for g in unipotent_elements(group) if not g.is_identity()]
+    u, v = next((u, v) for u in uni for v in uni if u.compose(v) != v.compose(u))
+    with pytest.raises(ValueError, match="not a subgroup"):
+        p_core([GroupElement.identity(3, ctx64), u, v])
 
 
 def test_unipotent_identity_holds_at_dim_two(ctx64):

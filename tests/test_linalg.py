@@ -248,23 +248,23 @@ def test_group_action_against_matrices(ctx64, ctx729):
         by_log = {a.log: a for a in ctx.elements()}
         group = enumerate_pgl(n_plus_1, ctx)
         for g in group:
-            images, logs = g.line_row()
+            row = g.row()
             for j, u in enumerate(index.lines):
-                mu = by_log[logs[j]]
+                image, mu = row[j][0], by_log[row[j][1]]
                 for c in units:
                     assert g.apply(tuple(c * a for a in u)) == tuple(
-                        c * mu * a for a in index.lines[images[j]]
+                        c * mu * a for a in index.lines[image]
                     )
-            assert [subs[_subspace_image(index, images, s)] for s in range(len(subs))] == [
+            assert [subs[_subspace_image(index, row, s)] for s in range(len(subs))] == [
                 g.apply_subspace(W) for W in subs
             ]
             assert g.order() == _order_by_matrix_powers(g)
-        assert len({g.line_row()[0] for g in group}) == len(group)
+        assert len({g.permutation() for g in group}) == len(group)
         for g, h in (rng.sample(group, 2) for _ in range(200)):
             # scalars are left out: the product's representative may differ
             # from the product of the representatives by a scalar
-            gh, ga, ha = g.compose(h).line_row()[0], g.line_row()[0], h.line_row()[0]
-            assert gh == tuple(ga[j] for j in ha)
+            gh, ga, ha = g.compose(h).row(), g.row(), h.row()
+            assert g.compose(h).permutation() == tuple(g.permutation()[j] for j in h.permutation())
             assert [_subspace_image(index, gh, s) for s in range(len(subs))] == [
                 _subspace_image(index, ga, _subspace_image(index, ha, s)) for s in range(len(subs))
             ]
