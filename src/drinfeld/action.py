@@ -22,7 +22,6 @@ matrices as the oracle the tests compare with.
 """
 
 import math
-from itertools import product
 
 from .counts import check_group, pgl_order
 from .errors import DefectSignal, InvariantViolation
@@ -186,17 +185,31 @@ def _line_pairs(ctx, n_plus_1):
 
 @per_field
 def _enumerate_pgl_cached(ctx, n_plus_1):
+    """PGL(n+1)(k) built a row at a time, depth first: the first row a
+    normalized vector, each later one a nonzero vector kept when it reduces
+    to a nonzero vector against the echelon rows of the rows above it.  Each
+    row runs in vec_key order, so the matrices come out in sort_key order."""
     check_group(n_plus_1, ctx.q)
-    k_els = ctx.k_elements
+    vectors = canonical_vectors(n_plus_1, ctx)
+    heads = [v for v in vectors if next(a for a in v if a) == ctx.one]
     out = []
-    for flat in product(k_els, repeat=n_plus_1 * n_plus_1):
-        lead = next((a for a in flat if a), None)
-        if lead != ctx.one:
-            continue  # one representative per scalar coset
-        rows = [flat[i * n_plus_1 : (i + 1) * n_plus_1] for i in range(n_plus_1)]
-        _, rank = rref(rows)
-        if rank == n_plus_1:
+
+    def grow(rows, echelon):
+        if len(rows) == n_plus_1:
             out.append(GroupElement(ctx, rows))
+            return
+        for v in vectors if rows else heads:
+            w = v
+            for pivot, row in echelon:  # each row is zero at the pivots before it
+                c = w[pivot]
+                if c:
+                    w = [a - c * b for a, b in zip(w, row)]
+            pivot = next((i for i, a in enumerate(w) if a), None)
+            if pivot is not None:
+                inv = w[pivot].inverse()
+                grow(rows + [v], echelon + [(pivot, [inv * a for a in w])])
+
+    grow([], [])
     assert len(out) == pgl_order(n_plus_1, ctx.q)
     return tuple(out)
 
@@ -433,10 +446,9 @@ class _DenseCovector:
         for d in range(1, s + 1):
             if s % d:
                 continue
+            # the first s twists are independent (the twist-span lemma)
             u_basis = [twists[j] for j in range(0, s, d)]
-            _, rank_u = rref(u_basis)
-            _, rank_ext = rref(u_basis + [twists[s]])
-            if rank_ext == rank_u:
+            if rref(u_basis + [twists[s]])[1] == len(u_basis):
                 closing.append(d)
         self.ctx = ctx
         self.twists = tuple(twists[:s])

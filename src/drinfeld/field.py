@@ -399,24 +399,6 @@ def _int_rref_mod_p(rows, p):
     return mat[: len(pivots)], pivots
 
 
-def _int_kernel_mod_p(rows, p):
-    "Basis of the right kernel of an integer matrix mod p, as int vectors."
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    ech, pivots = _int_rref_mod_p(rows, p)
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        vec = [0] * ncols
-        vec[f] = 1
-        for i, c in enumerate(pivots):
-            vec[c] = (-ech[i][f]) % p
-        basis.append(vec)
-    return basis
-
-
 def field_make(p, e, lcm_degrees):
     """Ambient context for k = GF(p^e) and all extensions k_m, m | lcm_degrees.
 

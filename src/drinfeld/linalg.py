@@ -9,7 +9,7 @@ subspaces, ordered ascending (smallest member first).
 from collections import namedtuple
 from itertools import combinations, product
 
-from .field import _int_kernel_mod_p, per_field
+from .field import _int_rref_mod_p, per_field
 
 
 def rref(rows):
@@ -273,32 +273,43 @@ def apply_functional(coords, v):
 
 
 def rational_kernel(coords, ctx):
-    """The k-rational kernel {v in k^(n+1) : sum coords_i v_i = 0}.
+    """The k-rational kernel {v in k^(n+1) : sum coords_i v_i = 0}, in
+    canonical echelon form over k, read off one elimination of its F_p system.
 
-    Each coordinate is expanded over an F_p-basis of k, the resulting F_p
-    system is solved exactly, and the solution set is returned in canonical
-    echelon form over k (it is automatically a k-subspace).
+    The unknowns are the F_p-coordinates u = j*e + t of v_j = sum_t c_{j,t}
+    beta_t, with beta_0 = 1.  Reduced with its columns in reverse order, the
+    system pivots from the last unknown, so the solution b_f of a free
+    unknown f is 1 at f and nonzero elsewhere only at pivots right of f; the
+    b_f with f >= j*e span K_j, the solutions zero before v_j.  K_j is a
+    k-space and v -> v_j embeds K_j / K_(j+1) in k, so each block of e
+    unknowns is all free or all pivots.  The b_(j*e) of the free blocks, read
+    as k-vectors, are then zero before v_j, 1 at v_j and zero at every other
+    free block: they are the reduced echelon rows.
     """
-    n_plus_1, k_basis = len(coords), ctx.k_basis
-    # unknowns: F_p-coordinates c_{j,t} of v_j = sum_t c_{j,t} beta_t
-    cols = []
-    for j in range(n_plus_1):
-        for beta in k_basis:
-            cols.append((coords[j] * beta).coeffs)
-    rows = [[cols[c][i] for c in range(len(cols))] for i in range(ctx.D)]
-    kern = _int_kernel_mod_p(rows, ctx.p)
-    vectors = []
-    for vec in kern:
-        v = []
-        for j in range(n_plus_1):
-            acc = ctx.zero
-            for t, beta in enumerate(k_basis):
-                c = vec[j * len(k_basis) + t]
-                if c:
-                    acc = acc + ctx.from_int(c) * beta
-            v.append(acc)
-        vectors.append(tuple(v))
-    return Subspace.span(n_plus_1, vectors)
+    n_plus_1, e, p = len(coords), ctx.e, ctx.p
+    # column last - u holds unknown u's coefficient coords[j] * beta_t
+    cols = [(a * beta).coeffs for a in reversed(coords) for beta in reversed(ctx.k_basis)]
+    last, digits = len(cols) - 1, _k_digits(ctx)
+    ech, pivots = _int_rref_mod_p(list(zip(*cols)), p)
+    rows = []
+    for f in range(0, last + 1, e):  # the first unknown of each block
+        if last - f in pivots:
+            continue
+        b = [0] * (last + 1)  # b_f by unknown
+        b[f] = 1
+        for r, c in zip(ech, pivots):
+            b[last - c] = -r[last - f] % p
+        rows.append(tuple(digits[tuple(b[i : i + e])] for i in range(0, last + 1, e)))
+    return Subspace(n_plus_1, tuple(rows))
+
+
+@per_field
+def _k_digits(ctx):
+    "Each element sum_t c_t beta_t of k by its F_p-coordinates (c_0, ..., c_(e-1))."
+    return {
+        c: sum((ctx.from_int(a) * beta for a, beta in zip(c, ctx.k_basis)), ctx.zero)
+        for c in product(range(ctx.p), repeat=ctx.e)
+    }
 
 
 _RationalIndex = namedtuple(

@@ -469,7 +469,9 @@ def _kernel_chain(x):
         ker = rational_kernel(x.family[cur], ctx)
         if ker.dim == 0:
             break
-        nxt = Subspace.span(x.n_plus_1, coords_to_ambient(cur, ker.rows))
+        # reduced echelon coordinates in a reduced echelon basis map to
+        # reduced echelon rows, pivots at cur's pivots that ker's pick
+        nxt = Subspace(x.n_plus_1, tuple(coords_to_ambient(cur, ker.rows)))
         chain.append(nxt)
         cur = nxt
     return chain

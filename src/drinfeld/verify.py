@@ -22,7 +22,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-from .counts import gaussian_binomial, pgl_order, variety_total
+from .counts import gaussian_binomial, pgl_order, stratum_total, variety_total
 from .field import context_for, frobenius_k
 from .linalg import (
     Subspace,
@@ -110,21 +110,6 @@ def _all_points(ctx, n_plus_1, m):
     )
 
 
-def _q_total(ctx, n_plus_1, m):
-    "|Q(k_m)|: one dense point of each nonzero subspace over k_m."
-    subs = all_subspaces(n_plus_1, ctx, include_zero=False)
-    return sum(len(enumerate_omega(s.dim, ctx, m)) for s in subs)
-
-
-def _b_flag_count(flag, ctx, m):
-    "B points over k_m on the stratum of flag: one dense point per quotient."
-    chain = flag.chain(ctx)
-    prod = 1
-    for t in range(len(chain) - 1):
-        prod *= len(enumerate_omega(chain[t].dim - chain[t + 1].dim, ctx, m))
-    return prod
-
-
 # --------------------------------------------------------------------------
 # field suite
 
@@ -196,11 +181,13 @@ def check_linalg_kernel(cfg):
             for v in ker.vectors(ctx):
                 if apply_functional(coords, v):
                     return False, f"l nonzero on its kernel at {coords}"
-            hit = any(
-                apply_functional(coords, v)
+            # the kernel's q^dim vectors are killed, so it is all of them
+            # exactly when there are as many
+            killed = sum(
+                not apply_functional(coords, v)
                 for v in Subspace.full(n_plus_1, ctx).vectors(ctx)
             )
-            if hit != (ker.dim < n_plus_1):
+            if killed != ctx.q**ker.dim:
                 return False, f"kernel dimension inconsistent at {coords}"
     return True, ""
 
@@ -319,18 +306,13 @@ def check_points_b_two_tests(cfg):
 def check_points_b_closure_index(cfg):
     for q, n_plus_1, m, ctx in _configs(cfg):
         flags = enumerate_flags(n_plus_1, ctx)
-        nonempty = set()
-        classified = {}
         for fl in flags:
             pts = b_enumerate_flag(fl, ctx, m)
-            if pts:
-                nonempty.add(fl)
             for x in pts:
                 got = b_classify(x)
                 if got != fl:
                     return False, "classification does not return the built flag"
-            classified[fl] = len(pts)
-            if _b_flag_count(fl, ctx, m) != len(pts):
+            if stratum_total("B", fl, n_plus_1, q, m) != len(pts):
                 return False, f"product formula mismatch for {fl!r}"
         # the closure-index set of each stratum is its refinement up-set;
         # reflexivity, antisymmetry and transitivity of the order
@@ -543,12 +525,10 @@ def check_atlas_partitions(cfg):
                 want = variety_total("P", n_plus_1, q, m)
                 if atlas_p.total(m) != want:
                     return False, f"P total {atlas_p.total(m)} != {want}"
-                q_want = _q_total(ctx, n_plus_1, m)
+                q_want = variety_total("Q", n_plus_1, q, m)
                 if atlas_q.total(m) != q_want:
                     return False, f"Q total {atlas_q.total(m)} != {q_want}"
-                b_want = sum(
-                    _b_flag_count(fl, ctx, m) for fl in enumerate_flags(n_plus_1, ctx)
-                )
+                b_want = variety_total("B", n_plus_1, q, m)
                 if atlas_b.total(m) != b_want:
                     return False, f"B total {atlas_b.total(m)} != {b_want}"
     return True, ""
@@ -705,24 +685,21 @@ def criterion_1(shared):
             per_p = Counter(p_classify(x) for x in p_pts)
             # every stratum holds exactly the dense points of its quotient
             for sub in all_subspaces(n_plus_1, ctx, include_full=False):
-                want = len(enumerate_omega(n_plus_1 - sub.dim, ctx, m))
-                if per_p.get(sub, 0) != want:
+                if per_p.get(sub, 0) != stratum_total("P", sub, n_plus_1, q, m):
                     return False, f"P stratum count failed at q={q} n+1={n_plus_1} m={m}"
             q_pts = q_enumerate(ctx, n_plus_1, m)
             per = Counter(q_classify(x) for x in q_pts)
             for sub in all_subspaces(n_plus_1, ctx, include_zero=False):
-                if per.get(sub, 0) != len(enumerate_omega(sub.dim, ctx, m)):
+                if per.get(sub, 0) != stratum_total("Q", sub, n_plus_1, q, m):
                     return False, f"Q stratum count failed at q={q} n+1={n_plus_1} m={m}"
             if len(set(q_pts)) != len(q_pts):
                 return False, "Q enumeration repeated a point"
             b_pts = b_enumerate(ctx, n_plus_1, m)
             per_b = Counter(b_classify(x) for x in b_pts)
-            b_want = 0
             for fl in enumerate_flags(n_plus_1, ctx):
-                prod = _b_flag_count(fl, ctx, m)
-                b_want += prod
-                if per_b.get(fl, 0) != prod:
+                if per_b.get(fl, 0) != stratum_total("B", fl, n_plus_1, q, m):
                     return False, f"B stratum count failed at q={q} n+1={n_plus_1} m={m}"
+            b_want = variety_total("B", n_plus_1, q, m)
             if len(b_pts) != b_want or len(set(b_pts)) != len(b_pts):
                 return False, f"B partition failed at q={q} n+1={n_plus_1} m={m}"
             detail.append(f"q={q} n+1={n_plus_1} m={m}: |P|=|Q|={len(p_pts)} |B|={len(b_pts)}")
@@ -744,7 +721,7 @@ def criterion_2(shared):
         built = q_enumerate(ctx, 2, m)
         if set(brute) != set(built):
             return False, f"brute force and construction differ at m={m}"
-        want = _q_total(ctx, 2, m)
+        want = variety_total("Q", 2, 2, m)
         if not (len(brute) == len(built) == want):
             return False, f"count {len(brute)} != partition identity {want} at m={m}"
         counts[m] = len(brute)

@@ -54,6 +54,31 @@ def test_pgl_orders(ctx64, ctx729):
     assert len(enumerate_pgl(2, ctx729)) == 24 == pgl_order(2, 3)
 
 
+def _pgl_by_rank(n_plus_1, ctx):
+    """The oracle: every matrix with leading entry 1, in row-major
+    lexicographic order, kept when its rref has full rank."""
+    from itertools import product
+
+    from drinfeld.linalg import rref
+
+    out = []
+    for flat in product(ctx.k_elements, repeat=n_plus_1 * n_plus_1):
+        if next((a for a in flat if a), None) != ctx.one:
+            continue
+        rows = tuple(flat[i * n_plus_1 : (i + 1) * n_plus_1] for i in range(n_plus_1))
+        if rref(rows)[1] == n_plus_1:
+            out.append(rows)
+    return out
+
+
+def test_pgl_enumeration_against_rank_filter(ctx64, ctx729):
+    # the same elements in the same order, at PGL(3,2), PGL(2,3), PGL(2,4), PGL(3,3)
+    ctx4 = context_for(2, 2, 2, [1])
+    for n_plus_1, ctx in ((3, ctx64), (2, ctx729), (2, ctx4), (3, ctx729)):
+        got = [g.matrix for g in enumerate_pgl(n_plus_1, ctx)]
+        assert got == _pgl_by_rank(n_plus_1, ctx)
+
+
 def test_pgl_order_formula():
     # |GL(n+1, q)| / (q - 1) by the falling product
     assert pgl_order(2, 2) == (4 - 1) * (4 - 2) // 1

@@ -61,7 +61,7 @@ def test_rational_kernel_over_gf4_bruteforce(ctx4):
 
     rng = random.Random(3)
     ctx8 = context_for(2, 3, 2, [1, 2])
-    for ctx, n_plus_1 in ((ctx4, 2), (ctx8, 2), (ctx8, 3)):
+    for ctx, n_plus_1 in ((ctx4, 2), (ctx4, 3), (ctx8, 2), (ctx8, 3)):
         els = ctx.subfield_elements(2)
         for _ in range(120):
             coords = tuple(rng.choice(els) for _ in range(n_plus_1))

@@ -93,6 +93,38 @@ def test_kernel_of_110_is_two_dimensional(ctx64):
     assert K == Subspace.span(3, [vecs(ctx64, 1, 1, 0), vecs(ctx64, 0, 0, 1)])
 
 
+def test_kernel_of_a_long_covector_in_closed_form():
+    # (1, a, ..., a) with a in GF(4) outside GF(2) kills v exactly when v_0 = 0 and
+    # v_1 + ... + v_n = 0: the echelon rows are e_i + e_n, 1 <= i <= n - 1.
+    # At n+1 = 400 a second elimination of the kernel would take seconds.
+    ctx = context_for(2, 1, 400, [2])
+    a = next(x for x in ctx.subfield_elements(2) if not ctx.in_subfield(x, 1))
+    n = 399
+    K = rational_kernel((ctx.one,) + (a,) * n, ctx)
+    unit = [tuple(ctx.one if j == i else ctx.zero for j in range(n + 1)) for i in range(n + 1)]
+    assert K.dim == 398
+    assert K.rows == tuple(
+        tuple(b + c for b, c in zip(unit[i], unit[n])) for i in range(1, n)
+    )
+
+
+def test_kernel_check_catches_a_kernel_too_small(monkeypatch):
+    # a kernel missing a row is still killed by l and still smaller than V:
+    # only the count of the vectors l kills shows it
+    from drinfeld import verify
+
+    cfg = verify.VerifyConfig(max_n_plus_1=3, max_m=1)
+    assert verify.check_linalg_kernel(cfg) == (True, "")
+
+    def short(coords, ctx):
+        K = rational_kernel(coords, ctx)
+        return Subspace(K.n_plus_1, K.rows[:-1])
+
+    monkeypatch.setattr(verify, "rational_kernel", short)
+    ok, detail = verify.check_linalg_kernel(cfg)
+    assert not ok and detail.startswith("kernel dimension inconsistent")
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_kernel_matches_bruteforce(ctx64, data):
