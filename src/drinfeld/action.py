@@ -17,8 +17,10 @@ of g(j) and the log of the scalar carrying j's normalized vector there,
 found from the matrix on first read and kept on the element.  Points turn
 their values into logs once, so each test is
 linalg.logs_proportional over integers, and g(W) = W is read off the
-images of W's echelon rows.  act, apply, compose and inverse stay on
-matrices as the oracle the tests compare with.
+images of W's echelon rows.  The group is enumerated a row at a time, each
+candidate row reduced against the rows above it by linalg.reduce_vector.
+act, apply, compose and inverse stay on matrices as the oracle the tests
+compare with.
 """
 
 import math
@@ -36,6 +38,7 @@ from .linalg import (
     functional_ratio,
     quotient_functional,
     rational_kernel,
+    reduce_vector,
     rref,
 )
 from .points import (
@@ -71,11 +74,7 @@ class GroupElement:
 
     @classmethod
     def identity(cls, n_plus_1, ctx):
-        rows = [
-            [ctx.one if i == j else ctx.zero for j in range(n_plus_1)]
-            for i in range(n_plus_1)
-        ]
-        return cls(ctx, rows)
+        return cls(ctx, Subspace.full(n_plus_1, ctx).rows)
 
     @property
     def n_plus_1(self):
@@ -96,14 +95,8 @@ class GroupElement:
 
     def inverse(self):
         "Inverse by Gauss-Jordan on the augmented matrix."
-        n = self.n_plus_1
-        ctx = self.ctx
-        aug = [
-            list(self.matrix[i])
-            + [ctx.one if j == i else ctx.zero for j in range(n)]
-            for i in range(n)
-        ]
-        ech, _ = rref(aug)
+        n, ctx = self.n_plus_1, self.ctx
+        ech, _ = rref(r + e for r, e in zip(self.matrix, Subspace.full(n, ctx).rows))
         # [M | I] has rank n whatever M is: M is invertible iff every pivot
         # lies in the left half, on the diagonal
         if any(ech[i][i] != ctx.one for i in range(n)):
@@ -199,11 +192,7 @@ def _enumerate_pgl_cached(ctx, n_plus_1):
             out.append(GroupElement(ctx, rows))
             return
         for v in vectors if rows else heads:
-            w = v
-            for pivot, row in echelon:  # each row is zero at the pivots before it
-                c = w[pivot]
-                if c:
-                    w = [a - c * b for a, b in zip(w, row)]
+            w = reduce_vector(v, echelon)
             pivot = next((i for i, a in enumerate(w) if a), None)
             if pivot is not None:
                 inv = w[pivot].inverse()
@@ -328,15 +317,16 @@ def _column_test(x):
     g(e_i) in a table of f's logs on the nonzero vectors of V, so it needs
     no line row.  Where f vanishes on the whole basis (1/r of a Q point
     can), the test is that f o g does too."""
-    ctx, n_plus_1, order = x.ctx, x.n_plus_1, x.ctx._order
+    ctx, order = x.ctx, x.ctx._order
+    full = Subspace.full(x.n_plus_1, ctx)
     if isinstance(x, QPoint):
         logs = {v: -r.log % order if r else 2 * order for v, r in x.table.items()}
     elif isinstance(x, (PPoint, BPoint)):
-        coords = x.coords if isinstance(x, PPoint) else x.family[Subspace.full(n_plus_1, ctx)]
-        logs = {v: apply_functional(coords, v).log for v in canonical_vectors(n_plus_1, ctx)}
+        coords = x.coords if isinstance(x, PPoint) else x.family[full]
+        logs = {v: apply_functional(coords, v).log for v in canonical_vectors(x.n_plus_1, ctx)}
     else:
         raise TypeError(f"not a point: {x!r}")
-    base = [logs[e] for e in zip(*GroupElement.identity(n_plus_1, ctx).matrix)]
+    base = [logs[e] for e in full.rows]
     if min(base) >= 2 * order:
         return lambda g: min(logs[c] for c in zip(*g.matrix)) >= 2 * order
     return lambda g: logs_proportional([logs[c] for c in zip(*g.matrix)], base, order)
@@ -641,15 +631,12 @@ def is_unipotent(g):
 
 
 def _unipotent_matrix_criterion(g):
-    ctx = g.ctx
     n = g.n_plus_1
-    for c in ctx.k_elements:
+    unit = Subspace.full(n, g.ctx).rows
+    for c in g.ctx.k_elements:
         if not c:
             continue
-        rows = [
-            [c * a - (ctx.one if i == j else ctx.zero) for j, a in enumerate(row)]
-            for i, row in enumerate(g.matrix)
-        ]
+        rows = [[c * a - b for a, b in zip(row, e)] for row, e in zip(g.matrix, unit)]
         # (cM - id)^(n) = 0 iff the matrix is nilpotent
         power = rows
         for _ in range(n - 1):

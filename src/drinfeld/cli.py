@@ -51,11 +51,8 @@ def _out_json(obj):
 
 
 def _out(data):
-    if isinstance(data, bytes):
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
-    else:
-        print(data)
+    sys.stdout.buffer.write(data)
+    sys.stdout.buffer.flush()
 
 
 def _read_obj(args):

@@ -3,7 +3,10 @@
 Subspaces of V = k^(n+1) are kept in reduced row-echelon form, which is the
 unique canonical basis: subspace equality is plain tuple equality and every
 subspace is hashable.  Flags are strictly increasing chains of proper nonzero
-subspaces, ordered ascending (smallest member first).
+subspaces, ordered ascending (smallest member first).  One reduction,
+reduce_vector, takes a vector against echelon rows for every caller:
+membership and coordinates here, the row test of the PGL(V)(k) enumeration
+and the reciprocal-map certificate.
 """
 
 from collections import namedtuple
@@ -45,6 +48,17 @@ def rref(rows):
             break
     out = tuple(tuple(r) for r in rows[:rank] if any(r))
     return out, len(out)
+
+
+def reduce_vector(v, echelon):
+    """The residual of v against echelon, a list of (pivot, row) pairs, each
+    row 1 at its pivot and 0 at the pivots of the rows before it: the row
+    times the residual's entry at its pivot is taken off, row by row."""
+    for pivot, row in echelon:
+        c = v[pivot]
+        if c:
+            v = [a - c * b for a, b in zip(v, row)]
+    return v
 
 
 def vec_key(v):
@@ -89,13 +103,7 @@ class Subspace:
 
     def contains_vector(self, v):
         "Membership test by reduction against the echelon rows."
-        v = list(v)
-        for r in self.rows:
-            piv = next(i for i, a in enumerate(r) if a)
-            if v[piv]:
-                c = v[piv]
-                v = [a - c * b for a, b in zip(v, r)]
-        return not any(v)
+        return not any(reduce_vector(v, zip(self.pivots(), self.rows)))
 
     def contains(self, other):
         return all(self.contains_vector(r) for r in other.rows)
@@ -104,29 +112,19 @@ class Subspace:
         """Coordinates of v with respect to the echelon basis; v must lie here.
 
         Echelon form makes this a lookup: the coefficient of row i is the
-        entry of v at row i's pivot column.
+        entry of v at row i's pivot column, the multiple reduce_vector takes
+        off, since the other rows are zero there.
         """
-        coords = tuple(v[p] for p in self.pivots())
-        # residual must vanish
-        resid = list(v)
-        for c, r in zip(coords, self.rows):
-            if c:
-                resid = [a - c * b for a, b in zip(resid, r)]
-        if any(resid):
+        pivots = self.pivots()
+        if any(reduce_vector(v, zip(pivots, self.rows))):
             raise ValueError("vector not in subspace")
-        return coords
+        return tuple(v[p] for p in pivots)
 
     def vectors(self, ctx):
         "All q^dim k-rational vectors of the subspace (including zero)."
-        n, k_els = self.n_plus_1, ctx.k_elements
-        out = []
-        for combo in product(k_els, repeat=self.dim):
-            acc = [ctx.zero] * n
-            for c, row in zip(combo, self.rows):
-                if c:
-                    acc = [a + c * b for a, b in zip(acc, row)]
-            out.append(tuple(acc))
-        return out
+        if not self.rows:
+            return [(ctx.zero,) * self.n_plus_1]
+        return coords_to_ambient(self, product(ctx.k_elements, repeat=self.dim))
 
     def nonzero_vectors(self, ctx):
         return [v for v in self.vectors(ctx) if any(v)]

@@ -35,6 +35,7 @@ from .linalg import (
     normalize_functional,
     functional_ratio,
     rational_kernel,
+    reduce_vector,
     rref,
     vec_key,
 )
@@ -290,23 +291,20 @@ def _reciprocal_certificate(table, support, ctx):
     """Whether a table that satisfies scaling satisfies addition: exactly when
     its support is W minus 0 for W = span(support) and r = 1/l there for a
     linear l.  Each v is reduced against the echelon rows of the span of the
-    ones before it, l carried along: a v outside fixes l on a new row by
-    l(v) = 1/r(v), and the first v inside with r(v) l(v) != 1 ends the scan."""
-    rows = []  # (pivot, row scaled to 1 there, l(row))
+    ones before it, each row carrying l(row) as an extra coordinate, so the
+    residual (w, -l(v - w)) carries l along: a v outside fixes l on a new row
+    by l(v) = 1/r(v), and the first v inside with r(v) l(v) != 1 ends the scan."""
+    rows = []  # (pivot, row scaled to 1 there, with l(row) appended)
     for v in support:
-        w, at_v = list(v), ctx.zero
-        for pivot, row, at_row in rows:  # each row is zero at the pivots before it
-            c = w[pivot]
-            if c:
-                w = [a - c * b for a, b in zip(w, row)]
-                at_v = at_v + c * at_row
-        pivot = next((i for i, a in enumerate(w) if a), None)
+        w = reduce_vector([*v, ctx.zero], rows)
+        pivot = next((i for i, a in enumerate(w[:-1]) if a), None)
         if pivot is None:
-            if table[v] * at_v != ctx.one:
+            if table[v] * w[-1] != -ctx.one:
                 return False
-        else:  # l(w) = l(v) - at_v
+        else:  # l(w) = l(v) - l(v - w)
+            w[-1] = table[v].inverse() + w[-1]
             inv = w[pivot].inverse()
-            rows.append((pivot, [inv * a for a in w], inv * (table[v].inverse() - at_v)))
+            rows.append((pivot, [inv * a for a in w]))
     return len(support) == nonzero_vectors(len(rows), ctx.q)
 
 

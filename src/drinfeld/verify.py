@@ -367,7 +367,7 @@ def check_action_group_laws(cfg):
 
 def check_action_classify_equivariance(cfg):
     for q, n_plus_1, m, ctx in _configs(cfg):
-        if q != 2 or m > 2:
+        if q != 2 or m > 2 or pgl_order(n_plus_1, q) > _GROUP_SIZE_CAP:
             continue
         group = enumerate_pgl(n_plus_1, ctx)
         for g in group:
@@ -512,25 +512,18 @@ def check_action_omega_equivariance(cfg):
 
 
 def check_atlas_partitions(cfg):
-    from .atlas import build_atlas
+    from .atlas import VARIETIES, build_atlas
 
     for q in cfg.qs:
         for n_plus_1 in range(2, cfg.max_n_plus_1 + 1):
             ctx = _ctx_for(q, n_plus_1, cfg.max_m)
             ms = list(range(1, cfg.max_m + 1))
-            atlas_p = build_atlas("P", n_plus_1, ctx, ms, jobs=cfg.jobs)
-            atlas_q = build_atlas("Q", n_plus_1, ctx, ms, jobs=cfg.jobs)
-            atlas_b = build_atlas("B", n_plus_1, ctx, ms, jobs=cfg.jobs)
-            for m in ms:
-                want = variety_total("P", n_plus_1, q, m)
-                if atlas_p.total(m) != want:
-                    return False, f"P total {atlas_p.total(m)} != {want}"
-                q_want = variety_total("Q", n_plus_1, q, m)
-                if atlas_q.total(m) != q_want:
-                    return False, f"Q total {atlas_q.total(m)} != {q_want}"
-                b_want = variety_total("B", n_plus_1, q, m)
-                if atlas_b.total(m) != b_want:
-                    return False, f"B total {atlas_b.total(m)} != {b_want}"
+            for variety in VARIETIES:
+                atlas = build_atlas(variety, n_plus_1, ctx, ms, jobs=cfg.jobs)
+                for m in ms:
+                    want = variety_total(variety, n_plus_1, q, m)
+                    if atlas.total(m) != want:
+                        return False, f"{variety} total {atlas.total(m)} != {want}"
     return True, ""
 
 

@@ -432,6 +432,14 @@ def test_verify_passes_at_dim_two():
     assert b"[FAIL]" not in proc.stdout
 
 
+def test_verify_equivariance_at_dim_three_skips_groups_past_the_cap():
+    # PGL(4,2) has 20,160 elements, past the suite's group-size cap
+    proc = run_cli(["verify", "--max-n", "3", "--suites", "action.classify_equivariance"],
+                   timeout=60)
+    assert proc.returncode == 0, proc.stdout.decode()
+    assert b"1/1 checks passed" in proc.stdout
+
+
 def test_verify_rejects_out_of_range_arguments():
     # 2^61 - 1 is prime, too large for the field bound and for trial division;
     # --max-n 4 would build all 27,808 flags of k^5, and --max-n 300 is refused

@@ -19,7 +19,13 @@ from drinfeld import (
     rref,
 )
 from drinfeld.action import GroupElement, _subspace_image, enumerate_pgl
-from drinfeld.linalg import _subspace_order, apply_functional, normalize_functional
+from drinfeld.linalg import (
+    _subspace_order,
+    apply_functional,
+    coords_to_ambient,
+    normalize_functional,
+    reduce_vector,
+)
 
 
 def vecs(ctx, *ints):
@@ -483,3 +489,25 @@ def test_subspace_membership_and_coords(ctx64):
     assert tuple(rebuilt) == v
     with pytest.raises(ValueError):
         sub.coords_of(vecs(ctx64, 0, 0, 1))
+
+
+def test_span_map_and_reduction_on_every_subspace(ctx64, ctx729):
+    ctx4 = context_for(2, 2, 2, [1, 2])  # k = GF(4)
+    for ctx, n_plus_1 in ((ctx64, 3), (ctx729, 3), (ctx4, 2)):
+        space = Subspace.full(n_plus_1, ctx).vectors(ctx)
+        for W in all_subspaces(n_plus_1, ctx):
+            vectors = W.vectors(ctx)
+            assert len(set(vectors)) == len(vectors) == ctx.q**W.dim
+            assert (ctx.zero,) * n_plus_1 in vectors
+            for v in vectors:
+                assert W.contains_vector(v)
+                coords = W.coords_of(v)
+                assert len(coords) == W.dim
+                if W.rows:  # the zero space has no rows, nor a field, to map () with
+                    assert coords_to_ambient(W, [coords]) == [v]
+            outside = next((v for v in space if v not in set(vectors)), None)
+            assert (outside is None) == (W.dim == n_plus_1)
+            if outside is not None:
+                assert any(reduce_vector(outside, zip(W.pivots(), W.rows)))
+                with pytest.raises(ValueError):
+                    W.coords_of(outside)
