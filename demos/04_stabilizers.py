@@ -43,7 +43,7 @@ print(f"\n|PGL(3, 2)| = {len(group3)}")
 rational = PPoint(ctx3, (ctx3.one, ctx3.zero, ctx3.zero))
 stab3 = stabilizer_bruteforce(rational, group3)
 flag = stratum_flag(rational)
-radical = unipotent_radical_k(flag, ctx3, group3)
+radical = unipotent_radical_k(flag, ctx3)
 print("rational covector point (1, 0, 0):")
 print(f"  stabilizer order {len(stab3)} (the full stabilizer of the kernel plane)")
 print(f"  unipotent elements: {len(unipotent_elements(stab3))}")

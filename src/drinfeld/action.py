@@ -15,17 +15,19 @@ rejects most elements at once.  What an element that passes is asked
 about other lines is read from its line row: for each line j of V, the id
 of g(j) and the log of the scalar carrying j's normalized vector there,
 found from the matrix on first read and kept on the element.  Points turn
-their values into logs once, so each test is
-linalg.logs_proportional over integers, and g(W) = W is read off the
-images of W's echelon rows.  The group is enumerated a row at a time, each
-candidate row reduced against the rows above it by linalg.reduce_vector.
-act, apply, compose and inverse stay on matrices as the oracle the tests
-compare with.
+their values into logs once, so each test is linalg.logs_proportional over
+integers, and g(W) = W is read off the images of W's echelon rows.  The
+group is enumerated a row at a time, each candidate row reduced against the
+rows above it by linalg.reduce_vector.  The brute-force subgroup check and
+the normal p-core grow one product closure of line permutations, _closure;
+the unipotent radical of a flag's parabolic is built from the flag as
+I + N, with no group enumeration.  act, apply, compose and inverse stay on
+matrices as the oracle the tests compare with.
 """
 
 import math
 
-from .counts import check_group, pgl_order
+from .counts import check_group, check_radical, pgl_order
 from .errors import DefectSignal, InvariantViolation
 from .field import per_field
 from .linalg import (
@@ -33,6 +35,7 @@ from .linalg import (
     Subspace,
     _subspace_order,
     apply_functional,
+    complement,
     logs_proportional,
     normalize_functional,
     functional_ratio,
@@ -363,36 +366,40 @@ def _check_subgroup(perms):
     form a group.
 
     Generators are chosen greedily, each member not yet in the group the
-    chosen ones generate, and that group is grown from the identity by right
-    multiplication.  A finite set holding the identity that contains every
-    such product holds the group its members generate, so it is that group:
-    about |perms| * log|perms| compositions instead of |perms|^2.
+    chosen ones generate, and _closure grows that group from the old one
+    times the new generator.  A finite set holding the identity that contains
+    every such product, and every member, is the group they generate: about
+    |perms| * log|perms| compositions instead of |perms|^2.
     """
     members = set(perms)
     identity = tuple(range(len(perms[0]))) if perms else None
     if identity not in members:
         raise InvariantViolation("stabilizer does not contain the identity")
+    error = InvariantViolation("stabilizer not closed under product")
     generated, gens = {identity}, []
     for a in perms:
+        if a not in generated:
+            gens.append(a)
+            seeds = [tuple(h[i] for i in a) for h in generated]
+            for _ in _closure(generated, seeds, gens, members, error):
+                pass
+
+
+def _closure(generated, seeds, gens, members, error):
+    """Grow generated, a set of line permutations, by the seeds and then by
+    every new element times each of gens on the right, until nothing is new;
+    yield each element as it is added, and raise error at the first one that
+    is not in members."""
+    stack = list(seeds)
+    while stack:
+        a = stack.pop()
         if a in generated:
             continue
-        gens.append(a)
-        # the old group times the new generator, then everything new times
-        # every generator
-        frontier, fresh = list(generated), [a]
-        while frontier:
-            new = []
-            for h in frontier:
-                for g in fresh:
-                    hg = tuple(h[i] for i in g)
-                    if hg not in members:
-                        raise InvariantViolation("stabilizer not closed under product")
-                    if hg not in generated:
-                        generated.add(hg)
-                        new.append(hg)
-            frontier, fresh = new, gens
-    if generated != members:
-        raise InvariantViolation("stabilizer is not the group its members generate")
+        if a not in members:
+            raise error
+        generated.add(a)
+        yield a
+        stack.extend(tuple(a[i] for i in g) for g in gens)
 
 
 def fixpoint_check_omega(coords, g_matrix_rows, ctx):
@@ -580,35 +587,28 @@ def stratum_flag(x):
     raise TypeError(f"not a point: {x!r}")
 
 
-def unipotent_radical_k(flag, ctx, group=None):
+def unipotent_radical_k(flag, ctx):
     """The k-points of the unipotent radical of the parabolic fixing flag.
 
-    g belongs iff some scalar multiple c*M of its representative satisfies
-    (c*M - id) V_{i-1} inside V_i along the full chain; the order is q to
-    the number of free block entries.
+    In a basis running down the chain V = C_0 > C_1 > ... > 0, the rows of
+    C_t off C_(t+1)'s pivots, top level first, the radical is I + N for every
+    N mapping each level only into deeper levels: q^e elements, e =
+    sum_{s<t} d_s d_t, each conjugated back to the standard basis.  I + N
+    has identity diagonal blocks, so distinct N are distinct in PGL.
     """
-    n_plus_1 = flag.n_plus_1
-    if group is None:
-        group = enumerate_pgl(n_plus_1, ctx)
     chain = flag.chain(ctx)
-    k_units = [a for a in ctx.k_elements if a]
-    out = []
-    for g in group:
-        if any(_nilpotent_along_chain(g, c, chain) for c in k_units):
-            out.append(g)
-    return sorted(out, key=GroupElement.sort_key)
-
-
-def _nilpotent_along_chain(g, c, chain):
-    "(c*M - id) maps chain[t] into chain[t+1] for every step."
-    for t in range(len(chain) - 1):
-        big, small = chain[t], chain[t + 1]
-        for r in big.rows:
-            img = g.apply(r)
-            shifted = tuple(c * a - b for a, b in zip(img, r))
-            if not small.contains_vector(shifted):
-                return False
-    return True
+    levels = [complement(small, big).rows for big, small in zip(chain, chain[1:])]
+    check_radical([len(rows) for rows in levels], ctx.q)
+    depth = [t for t, rows in enumerate(levels) for _ in rows]
+    basis = GroupElement(ctx, list(zip(*(r for rows in levels for r in rows))))
+    columns, dual = list(zip(*basis.matrix)), basis.inverse().matrix
+    mats = [Subspace.full(flag.n_plus_1, ctx).rows]
+    for i, j in [(i, j) for i, s in enumerate(depth) for j, t in enumerate(depth) if s > t]:
+        # the N sending basis vector j to basis vector i, in the standard basis
+        unit = [[a * b for b in dual[j]] for a in columns[i]]
+        mats = [[[a + c * e for a, e in zip(r, u)] for r, u in zip(m, unit)]
+                for m in mats for c in ctx.k_elements]
+    return sorted((GroupElement(ctx, m) for m in mats), key=GroupElement.sort_key)
 
 
 def is_unipotent(g):
@@ -654,9 +654,7 @@ def _mat_mul(a, b):
 
 def unipotent_elements(group_subset):
     "The unipotent members of a subgroup (identity always included)."
-    return sorted(
-        (g for g in group_subset if is_unipotent(g)), key=GroupElement.sort_key
-    )
+    return sorted((g for g in group_subset if is_unipotent(g)), key=GroupElement.sort_key)
 
 
 def p_core(subgroup):
@@ -668,29 +666,18 @@ def p_core(subgroup):
     plain unipotent-element set overshoots whenever a stratum leaves an
     unconstrained diagonal block of dimension at least two.
 
-    Conjugates and products are taken on line permutations and read back
-    from the subgroup, so each member's unipotent verdict is found once; the
-    members must form a group, and ValueError says when a product is not
-    among them.
+    Conjugates and products are taken on line permutations by _closure and
+    read back from the subgroup, so each member's unipotent verdict is found
+    once; ValueError says when one of them is not a member.
     """
     by_perm = {g.permutation(): g for g in subgroup}
     inverses = [(h, tuple(sorted(range(len(h)), key=h.__getitem__))) for h in by_perm]
+    error = ValueError("not a subgroup: a conjugate or product is not a member")
     out = []
     for x, g in by_perm.items():
         if not is_unipotent(g):
             continue
         conj = {tuple(h[x[i]] for i in h_inv) for h, h_inv in inverses}
-        closure, frontier = set(conj), list(conj)
-        while frontier:
-            a = frontier.pop()
-            if a not in by_perm:
-                raise ValueError("not a subgroup: a conjugate or product is not a member")
-            if not is_unipotent(by_perm[a]):
-                break
-            for c in (tuple(a[i] for i in b) for b in conj):
-                if c not in closure:
-                    closure.add(c)
-                    frontier.append(c)
-        else:
+        if all(is_unipotent(by_perm[a]) for a in _closure(set(), conj, conj, by_perm, error)):
             out.append(g)
     return sorted(out, key=GroupElement.sort_key)

@@ -199,10 +199,11 @@ def cmd_verify(args):
                 _at_least(args, name, low)
             qs = tuple(int(t) for t in args.q.split(","))
             for q in qs:
-                # the suites run over prime fields (the field's size bound is
-                # checked before primality) and build every B point in range
+                # the suites run over prime fields (size bound before primality),
+                # build every B point in range, and work in the field of every k_m
                 FieldCtx(q, 1, 1)
                 check_desk_scale("B", args.max_n + 1, q, range(1, args.max_m + 1))
+                context_for(q, 1, args.max_n + 1, range(1, args.max_m + 1))
             suites = tuple(t for t in args.suites.split(",") if t) if args.suites else ()
             cfg = VerifyConfig(
                 qs=qs,

@@ -43,7 +43,11 @@ def nonzero_subspaces(n_plus_1, q):
 def flags(n_plus_1, q, weight=lambda d: 1):
     """The flags of k^(n+1), the trivial one included, each counted with the
     product of weight(d) over the steps of codimension d of its chain
-    V = C_0 > C_1 > ... > 0: S(k) = sum_d [k choose d]_q weight(d) S(k-d)."""
+    V = C_0 > C_1 > ... > 0: S(k) = sum_d [k choose d]_q weight(d) S(k-d).
+    With weight = dense it counts B(V) by the fibration rho: B -> Q over the
+    d-dimensional supports V', fibre B(V/V'), and as [k choose d]_q =
+    [k choose k-d]_q, by pi: B -> P over the (k-d)-dimensional kernels V',
+    fibre B(V')."""
     totals = [1]
     for k in range(1, n_plus_1 + 1):
         totals.append(sum(
@@ -102,3 +106,11 @@ def check_group(n_plus_1, q):
     "ValueError, before PGL(n+1)(k) is enumerated, if it has too many elements."
     if n_plus_1 * (n_plus_1 - 1) > MAX_GROUP.bit_length() or pgl_order(n_plus_1, q) > MAX_GROUP:
         raise ValueError(f"|PGL({n_plus_1}, {q})| exceeds the desk-scale bound {MAX_GROUP}")
+
+
+def check_radical(dims, q):
+    """ValueError, before a flag's unipotent radical is built, if its q^e elements,
+    e = sum_{s<t} d_s d_t over the dimensions of its chain's quotients, are too many."""
+    e = sum(a * b for s, a in enumerate(dims) for b in dims[s + 1:])
+    if e > MAX_GROUP.bit_length() or q**e > MAX_GROUP:
+        raise ValueError(f"a radical of {q}^{e} elements exceeds the desk-scale bound {MAX_GROUP}")

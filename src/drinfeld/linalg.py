@@ -122,9 +122,7 @@ class Subspace:
 
     def vectors(self, ctx):
         "All q^dim k-rational vectors of the subspace (including zero)."
-        if not self.rows:
-            return [(ctx.zero,) * self.n_plus_1]
-        return coords_to_ambient(self, product(ctx.k_elements, repeat=self.dim))
+        return coords_to_ambient(self, product(ctx.k_elements, repeat=self.dim), ctx)
 
     def nonzero_vectors(self, ctx):
         return [v for v in self.vectors(ctx) if any(v)]
@@ -357,7 +355,7 @@ def _subspace_order(ctx, n_plus_1):
     # the normalized c of length d: ends of the lines of k^(n+1) zero before them
     tails = [[]] + [[u[-d:] for u in lines if not any(u[:-d])] for d in range(1, n_plus_1 + 1)]
     line_coords = tuple(
-        dict(sorted(zip(map(line_id.get, coords_to_ambient(W, tails[W.dim])), tails[W.dim])))
+        dict(sorted(zip(map(line_id.get, coords_to_ambient(W, tails[W.dim], ctx)), tails[W.dim])))
         for W in subspaces
     )
     # a subspace is the span of its lines, so a < b iff a's lines are b's: b is
@@ -442,11 +440,11 @@ def quotient_functional(coords, sub, ctx):
     return comp, normalize_functional(induced)
 
 
-def coords_to_ambient(within, coord_rows):
+def coords_to_ambient(within, coord_rows, ctx):
     "Map vectors of within's coordinate space back into the ambient space."
     out = []
     for cr in coord_rows:
-        acc = [within.rows[0][0].ctx.zero] * within.n_plus_1
+        acc = [ctx.zero] * within.n_plus_1
         for c, row in zip(cr, within.rows):
             if c:
                 acc = [a + c * b for a, b in zip(acc, row)]

@@ -469,7 +469,7 @@ def _kernel_chain(x):
             break
         # reduced echelon coordinates in a reduced echelon basis map to
         # reduced echelon rows, pivots at cur's pivots that ker's pick
-        nxt = Subspace(x.n_plus_1, tuple(coords_to_ambient(cur, ker.rows)))
+        nxt = Subspace(x.n_plus_1, tuple(coords_to_ambient(cur, ker.rows, ctx)))
         chain.append(nxt)
         cur = nxt
     return chain

@@ -437,8 +437,7 @@ def _sweep_with_radicals(shared, ranges):
         for x, stab in entries:
             fl = stratum_flag(x)
             if (fl, ctx) not in radicals:
-                group = enumerate_pgl(n_plus_1, ctx)
-                radicals[(fl, ctx)] = unipotent_radical_k(fl, ctx, group)
+                radicals[(fl, ctx)] = unipotent_radical_k(fl, ctx)
             yield q, n_plus_1, m, x, stab, radicals[(fl, ctx)]
 
 

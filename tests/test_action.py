@@ -315,6 +315,66 @@ def test_parabolic_data_blocks_and_radical_order(ctx64):
         assert len(unipotent_radical_k(flag, ctx64)) == 2**exponent
 
 
+def _nilpotent_along_chain(g, c, chain):
+    "(c*M - id) maps chain[t] into chain[t+1] for every step."
+    for t in range(len(chain) - 1):
+        big, small = chain[t], chain[t + 1]
+        for r in big.rows:
+            img = g.apply(r)
+            shifted = tuple(c * a - b for a, b in zip(img, r))
+            if not small.contains_vector(shifted):
+                return False
+    return True
+
+
+def _radical_by_filter(flag, ctx, group):
+    """The radical as a filter of the whole group, the oracle: g belongs iff
+    some scalar multiple c*M of its representative satisfies
+    (c*M - id) C_t inside C_(t+1) along the chain."""
+    chain = flag.chain(ctx)
+    units = [c for c in ctx.k_elements if c]
+    return sorted(
+        (g for g in group if any(_nilpotent_along_chain(g, c, chain) for c in units)),
+        key=GroupElement.sort_key,
+    )
+
+
+def test_radical_built_from_its_flag_equals_the_filter(ctx64, ctx729):
+    from drinfeld import enumerate_flags
+
+    ctx4 = context_for(2, 2, 2, [1])  # k = GF(4)
+    for ctx, n_plus_1 in ((ctx64, 2), (ctx729, 2), (ctx4, 2), (ctx64, 3)):
+        group = enumerate_pgl(n_plus_1, ctx)
+        for flag in enumerate_flags(n_plus_1, ctx):
+            assert unipotent_radical_k(flag, ctx) == _radical_by_filter(flag, ctx, group)
+
+
+def test_radical_of_a_full_flag_past_the_group_bound():
+    # |PGL(4, 3)| = 12,130,560 is past the bound; its radical has 3^6 elements
+    ctx = context_for(3, 1, 4, [1])
+    with pytest.raises(ValueError, match="desk-scale"):
+        enumerate_pgl(4, ctx)
+    rows = Subspace.full(4, ctx).rows
+    flag = Flag(4, [Subspace.span(4, rows[4 - d:]) for d in (1, 2, 3)])
+    rad = unipotent_radical_k(flag, ctx)
+    assert len(rad) == 3**6 == len(set(rad))
+    for g in rad:
+        assert is_unipotent(g)
+        assert all(g.apply_subspace(m) == m for m in flag.members)
+
+
+def test_radical_past_the_bound_is_refused_before_it_is_built(monkeypatch):
+    # a full flag of k^3 over GF(67): 67^3 = 300,763 elements
+    from drinfeld import action
+
+    ctx = context_for(67, 1, 3, [1])
+    rows = Subspace.full(3, ctx).rows
+    flag = Flag(3, [Subspace.span(3, rows[2:]), Subspace.span(3, rows[1:])])
+    monkeypatch.setattr(action, "GroupElement", None)  # building one fails
+    with pytest.raises(ValueError, match="radical of 67\\^3 elements"):
+        unipotent_radical_k(flag, ctx)
+
+
 def test_unipotent_elements_of_pgl22(ctx64):
     group = enumerate_pgl(2, ctx64)
     uni = unipotent_elements(group)
@@ -370,7 +430,7 @@ def test_unipotent_identity_holds_at_dim_two(ctx64):
             + b_enumerate(ctx64, 2, m)
         ):
             stab = stabilizer_bruteforce(x, group)
-            rad = unipotent_radical_k(stratum_flag(x), ctx64, group)
+            rad = unipotent_radical_k(stratum_flag(x), ctx64)
             assert unipotent_elements(stab) == rad
             assert p_core(stab) == rad
 
@@ -382,7 +442,7 @@ def test_unipotent_identity_fails_for_deep_p_strata(ctx64):
     group = enumerate_pgl(3, ctx64)
     x = PPoint(ctx64, (ctx64.one, ctx64.zero, ctx64.zero))
     stab = stabilizer_bruteforce(x, group)
-    rad = unipotent_radical_k(stratum_flag(x), ctx64, group)
+    rad = unipotent_radical_k(stratum_flag(x), ctx64)
     assert unipotent_elements(stab) != rad
     assert set(rad) < set(unipotent_elements(stab))
     assert p_core(stab) == rad
@@ -392,7 +452,7 @@ def test_b_points_satisfy_literal_unipotent_identity(ctx64):
     group = enumerate_pgl(3, ctx64)
     for x in b_enumerate(ctx64, 3, 1):
         stab = stabilizer_bruteforce(x, group)
-        rad = unipotent_radical_k(b_classify(x), ctx64, group)
+        rad = unipotent_radical_k(b_classify(x), ctx64)
         assert unipotent_elements(stab) == rad
 
 

@@ -443,10 +443,11 @@ def test_verify_equivariance_at_dim_three_skips_groups_past_the_cap():
 def test_verify_rejects_out_of_range_arguments():
     # 2^61 - 1 is prime, too large for the field bound and for trial division;
     # --max-n 4 would build all 27,808 flags of k^5, and --max-n 300 is refused
-    # before the flags of k^301 are counted
+    # before the flags of k^301 are counted; --max-m 5 over GF(2) and --max-m 4
+    # over GF(3) need the fields GF(2^60) and GF(3^12), past 2^16
     for args in (["--max-n", "0"], ["--max-m", "0"], ["--perturbations", "-1"],
                  ["--jobs", "0"], ["--q", "2305843009213693951"], ["--max-n", "4"],
-                 ["--max-n", "300"]):
+                 ["--max-n", "300"], ["--max-m", "5"], ["--q", "3", "--max-m", "4"]):
         proc = run_cli(["verify", "--suites", "field"] + args, timeout=30)
         assert proc.returncode == 2 and not proc.stdout
         assert proc.stderr.decode().startswith("configuration error:")

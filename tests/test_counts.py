@@ -8,6 +8,8 @@ the exact count where that could not be formed.
 
 import pytest
 
+from drinfeld import context_for, p_classify, p_enumerate, q_classify, q_enumerate
+
 from drinfeld.counts import (
     MAX_GROUP,
     MAX_POINTS,
@@ -15,6 +17,7 @@ from drinfeld.counts import (
     check_covers,
     check_desk_scale,
     check_group,
+    check_radical,
     flags,
     nonzero_subspaces,
     nonzero_vectors,
@@ -79,3 +82,38 @@ def test_counts_past_reach_are_refused_without_forming_them():
     assert _refusal(check_desk_scale, "B", n_plus_1, 2, [1])
     assert _refusal(check_group, n_plus_1, 2)
     assert _refusal(check_covers, 4_000, n_plus_1, nonzero_subspaces, 2, "too few")
+
+
+def _compositions(n):
+    "The tuples of positive integers summing to n."
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("q", QS)
+def test_radical_shortcut_refuses_only_what_the_exact_order_refuses(q):
+    for n_plus_1 in range(1, 11):
+        for dims in _compositions(n_plus_1):
+            exponent = sum(a * b for s, a in enumerate(dims) for b in dims[s + 1:])
+            assert (_refusal(check_radical, dims, q) is not None) == (q**exponent > MAX_GROUP)
+
+
+@pytest.mark.parametrize("q, n_plus_1", [(2, 3), (3, 2)])
+def test_b_points_fibre_over_p_and_q_points(q, n_plus_1):
+    # flags(n+1, q, dense) sums the fibres of pi over the P points, B of the
+    # kernel, and those of rho over the Q points, B of V / support; B of a
+    # zero-dimensional space is one point
+    assert variety_total("B", 0, q, 1) == 1
+    for m in (1, 2):
+        ctx = context_for(q, 1, n_plus_1, [m])
+        total = variety_total("B", n_plus_1, q, m)
+        assert total == sum(
+            variety_total("B", p_classify(x).dim, q, m) for x in p_enumerate(ctx, n_plus_1, m)
+        )
+        assert total == sum(
+            variety_total("B", n_plus_1 - q_classify(y).dim, q, m)
+            for y in q_enumerate(ctx, n_plus_1, m)
+        )

@@ -125,6 +125,6 @@ def test_unipotent_identities_over_gf4(ctx4):
             + b_enumerate(ctx4, 2, m)
         ):
             stab = stabilizer_bruteforce(x, group)
-            rad = unipotent_radical_k(stratum_flag(x), ctx4, group)
+            rad = unipotent_radical_k(stratum_flag(x), ctx4)
             assert unipotent_elements(stab) == rad
             assert p_core(stab) == rad

@@ -503,8 +503,7 @@ def test_span_map_and_reduction_on_every_subspace(ctx64, ctx729):
                 assert W.contains_vector(v)
                 coords = W.coords_of(v)
                 assert len(coords) == W.dim
-                if W.rows:  # the zero space has no rows, nor a field, to map () with
-                    assert coords_to_ambient(W, [coords]) == [v]
+                assert coords_to_ambient(W, [coords], ctx) == [v]
             outside = next((v for v in space if v not in set(vectors)), None)
             assert (outside is None) == (W.dim == n_plus_1)
             if outside is not None:
