@@ -666,18 +666,25 @@ def p_core(subgroup):
     plain unipotent-element set overshoots whenever a stratum leaves an
     unconstrained diagonal block of dimension at least two.
 
-    Conjugates and products are taken on line permutations by _closure and
-    read back from the subgroup, so each member's unipotent verdict is found
-    once; ValueError says when one of them is not a member.
+    Conjugates share their normal closure, so the verdict is decided once
+    per conjugacy class and given to the whole class; a closure that is a
+    p-group is a normal p-subgroup, so all its members belong and none of
+    them is decided again.  Conjugates and products are taken on line
+    permutations by _closure and read back from the subgroup, so each
+    member's unipotent verdict is found once; ValueError says when one of
+    them is not a member.
     """
     by_perm = {g.permutation(): g for g in subgroup}
     inverses = [(h, tuple(sorted(range(len(h)), key=h.__getitem__))) for h in by_perm]
     error = ValueError("not a subgroup: a conjugate or product is not a member")
-    out = []
+    core, outside = set(), set()
     for x, g in by_perm.items():
-        if not is_unipotent(g):
+        if x in core or x in outside or not is_unipotent(g):
             continue
         conj = {tuple(h[x[i]] for i in h_inv) for h, h_inv in inverses}
-        if all(is_unipotent(by_perm[a]) for a in _closure(set(), conj, conj, by_perm, error)):
-            out.append(g)
-    return sorted(out, key=GroupElement.sort_key)
+        closure = set()
+        if all(is_unipotent(by_perm[a]) for a in _closure(closure, conj, conj, by_perm, error)):
+            core |= closure
+        else:
+            outside |= conj
+    return sorted((by_perm[x] for x in core), key=GroupElement.sort_key)

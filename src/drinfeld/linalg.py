@@ -397,16 +397,23 @@ def all_subspaces(n_plus_1, ctx, include_zero=True, include_full=True):
 
 def enumerate_flags(n_plus_1, ctx):
     """All flags of k^(n+1): strictly increasing chains of proper nonzero
-    subspaces, the empty chain included.  Deterministic order."""
+    subspaces, the empty chain included.  Deterministic order.
+
+    The flags are built once per field and n+1, on the first call; each call
+    returns a fresh list of them, which the caller may change.
+    """
+    return list(_flags(ctx, n_plus_1))
+
+
+@per_field
+def _flags(ctx, n_plus_1):
     by_dim, above = _subspace_order(ctx, n_plus_1)[:2]
     chains = [()]
     grow = [(s,) for subs in by_dim[1:n_plus_1] for s in subs]
     while grow:
         chains.extend(grow)
         grow = [c + (s,) for c in grow for s in above[c[-1]] if s.dim < n_plus_1]
-    flags = [Flag(n_plus_1, c) for c in chains]
-    flags.sort(key=Flag.sort_key)
-    return flags
+    return tuple(sorted((Flag(n_plus_1, c) for c in chains), key=Flag.sort_key))
 
 
 def complement(sub, within):

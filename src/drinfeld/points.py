@@ -116,17 +116,30 @@ class BPoint:
             if len(c) != W.dim:
                 raise ValueError("functional length must match subspace dimension")
         index = _subspace_order(ctx, n_plus_1)
-        self.ctx = ctx
-        self.n_plus_1 = n_plus_1
-        self.family = family
-        self.on_lines = {
+        self._set(ctx, n_plus_1, family, {
             W: {j: apply_functional(func, c) for j, c in index.line_coords[index.subspace_id[W]].items()}
             for W, func in family.items()
-        }
+        })
         if validate:
             result = b_validate(self)
             if not result:
                 raise ValueError(f"incompatible family: {result.code}")
+
+    @classmethod
+    def _tabulated(cls, ctx, n_plus_1, family, on_lines):
+        """The point of a normalized family covering every nonzero subspace
+        whose line table is already made, as the flag builder makes it from
+        the chain; nothing is checked."""
+        x = cls.__new__(cls)
+        x._set(ctx, n_plus_1, family, on_lines)
+        return x
+
+    def _set(self, ctx, n_plus_1, family, on_lines):
+        "The one place a point's state is set."
+        self.ctx = ctx
+        self.n_plus_1 = n_plus_1
+        self.family = family
+        self.on_lines = on_lines
 
     def value(self, W, v):
         "Evaluate the functional attached to W at a vector v of W."
@@ -480,24 +493,36 @@ def b_classify(x):
 
     Starting from the whole space, intersect each member with the rational
     kernel of its functional until {0}.  As a cross-check, the members must
-    be exactly the subspaces V' whose every strict superspace W has
-    l_W vanishing on V' (the exceptional-divisor membership test, read from
-    the line table).
+    be exactly the exceptional divisors the point lies on: the proper V'
+    with l_W vanishing on V' for every W covering V' (dim W = dim V' + 1),
+    read from the line table.  On a compatible family that is every strict
+    superspace W: W contains a cover W_1 of V', and l_W restricted to W_1 is
+    c * l_W_1, so it vanishes on V' when l_W_1 does.
     """
     chain = _kernel_chain(x)
-    flag = Flag(x.n_plus_1, tuple(reversed(chain)))
-    index = _subspace_order(x.ctx, x.n_plus_1)
     divisors = {
-        cand
-        for cand in x.family
-        if cand.dim < x.n_plus_1
-        and not any(any(_restrict(x, W, cand, index)) for W in index.above[cand])
+        small
+        for small, rows, _, covers in _line_ids(x.ctx, x.n_plus_1)
+        if covers and not any(x.on_lines[W][j] for W in covers for j in rows)
     }
     if divisors != set(chain):
         raise InvariantViolation(
             "divisor membership set does not match the kernel chain"
         )
-    return flag
+    return Flag(x.n_plus_1, tuple(reversed(chain)))
+
+
+@per_field
+def _line_ids(ctx, n_plus_1):
+    """(W, the line ids of W's rows, the ids of W's lines, the subspaces
+    covering W) for each nonzero subspace W of k^(n+1), in canonical order;
+    only the whole space has no cover."""
+    index = _subspace_order(ctx, n_plus_1)
+    return tuple(
+        (W, tuple(index.line_id[r] for r in W.rows), tuple(index.line_coords[index.subspace_id[W]]),
+         tuple(big for big in index.above[W] if big.dim == W.dim + 1))
+        for subs in index.by_dim[1:] for W in subs
+    )
 
 
 def b_from_flag_data(flag, parts, ctx):
@@ -506,42 +531,60 @@ def b_from_flag_data(flag, parts, ctx):
     With the descending chain V = C_0 > C_1 > ... > C_last = {0} through the
     flag members, parts[t] is a functional on the complement coordinates of
     C_{t+1} inside C_t with trivial rational kernel in that quotient.  The
-    member functionals are parts composed with the projections, tabulated
-    once on their members' lines; every other subspace W inherits the
-    restriction from the smallest chain member containing it not inside the
-    next one, read off that table at W's rows (BPoint normalizes it).
+    member functional on C_t is parts[t] composed with the projection along
+    C_{t+1}, evaluated once on C_t's lines; every other subspace W inherits
+    the restriction from the last chain member containing it, so l_W and its
+    line table are that member's values at W's rows and at W's lines, both
+    scaled by the one factor that makes l_W's first entry 1: no functional
+    is evaluated per subspace.  The projections and lines of the chain are
+    the flag's plan (_flag_plan), which b_enumerate_flag builds once for all
+    the points on the flag.
     """
     if any(rational_kernel(part, ctx).dim != 0 for part in parts):
         raise ValueError("part must have trivial rational kernel in its quotient")
-    return _b_from_dense_parts(flag, parts, ctx)
+    return _b_from_plan(flag, _flag_plan(flag, ctx), parts, ctx)
 
 
-def _b_from_dense_parts(flag, parts, ctx):
-    "b_from_flag_data for parts known to have trivial rational kernels, as _omega's do."
+def _flag_plan(flag, ctx):
+    """What every point on flag is built from, besides _line_ids: for each
+    step C_t > C_(t+1) of its chain, the quotient width, the projection along
+    C_(t+1) (row i the projection of e_i, _quotient_projection's) and C_t's
+    lines by id with their coordinates."""
     chain = flag.chain(ctx)
-    if len(parts) != len(chain) - 1:
-        raise ValueError(f"need {len(chain) - 1} quotient parts, got {len(parts)}")
-    n_plus_1 = flag.n_plus_1
-    index = _subspace_order(ctx, n_plus_1)
-    inside = [index.line_coords[index.subspace_id[C]] for C in chain]
-    on_lines = []
-    for t in range(len(chain) - 1):
-        _, free, by_coordinate = _quotient_projection(chain[t], chain[t + 1], ctx)
-        part = tuple(parts[t])
-        if len(part) != len(free):
+    index = _subspace_order(ctx, flag.n_plus_1)
+    plan = []
+    for big, small in zip(chain, chain[1:]):
+        _, free, by_coordinate = _quotient_projection(big, small, ctx)
+        plan.append((len(free), by_coordinate, index.line_coords[index.subspace_id[big]]))
+    return plan
+
+
+def _b_from_plan(flag, plan, parts, ctx):
+    """The BPoint on flag with quotient data parts, built from flag's plan:
+    each chain member's values on its own lines, then one scaling of them per
+    subspace.  Its classification is checked against flag."""
+    if len(parts) != len(plan):
+        raise ValueError(f"need {len(plan)} quotient parts, got {len(parts)}")
+    tables = []
+    for (width, by_coordinate, member_lines), part in zip(plan, parts):
+        if len(part) != width:
             raise ValueError("part length must match the quotient dimension")
         # value on the i-th coordinate basis vector of C_t: project along C_{t+1}
         func = tuple(apply_functional(part, row) for row in by_coordinate)
-        on_lines.append({j: apply_functional(func, c) for j, c in inside[t].items()})
-    family = {}
-    for W in all_subspaces(n_plus_1, ctx, include_zero=False):
-        t, rows = 0, [index.line_id[r] for r in W.rows]
-        while all(j in inside[t + 1] for j in rows):  # W <= chain[t + 1]
-            t += 1
-        family[W] = tuple(on_lines[t][j] for j in rows)
+        tables.append({j: apply_functional(func, c) for j, c in member_lines.items()})
+    family, on_lines = {}, {}
+    for W, rows, lines, _ in _line_ids(ctx, flag.n_plus_1):
+        # the member on C_t vanishes exactly on C_(t+1) among rational vectors,
+        # so W reads the first member not zero at all of W's rows
+        for table in tables:
+            if lead := next(filter(None, map(table.__getitem__, rows)), None):
+                break
+        inv = lead.inverse()
+        family[W] = tuple(inv * table[j] for j in rows)
+        on_lines[W] = {j: inv * table[j] for j in lines}
     # compatible by construction, which the test suites check with b_validate;
     # the classification roundtrip is checked here, on every point built
-    x = BPoint(ctx, n_plus_1, family, validate=False)
+    x = BPoint._tabulated(ctx, flag.n_plus_1, family, on_lines)
     if b_classify(x) != flag:
         raise InvariantViolation("a point built on a flag classifies elsewhere")
     return x
@@ -579,18 +622,22 @@ def b_enumerate(ctx, n_plus_1, m):
 
 
 def b_enumerate_flag(flag, ctx, m):
-    "All BPoints over k_m with the given stratum flag."
+    """All BPoints over k_m with the given stratum flag, built from one plan
+    for the flag; none, and no plan, when some quotient has no dense point."""
     chain = flag.chain(ctx)
-    dims = [chain[t].dim - chain[t + 1].dim for t in range(len(chain) - 1)]
-    part_choices = [_omega(ctx, d, m) for d in dims]
-    return [_b_from_dense_parts(flag, parts, ctx) for parts in product(*part_choices)]
+    part_choices = [_omega(ctx, big.dim - small.dim, m) for big, small in zip(chain, chain[1:])]
+    if not all(part_choices):
+        return []
+    plan = _flag_plan(flag, ctx)
+    return [_b_from_plan(flag, plan, parts, ctx) for parts in product(*part_choices)]
 
 
 def omega_embed_b(x):
     "The dense embedding of a trivial-stratum PPoint into the family side."
     if p_classify(x).dim != 0:
         raise ValueError("only dense points embed")
-    return _b_from_dense_parts(Flag.trivial(x.n_plus_1), [x.coords], x.ctx)
+    flag = Flag.trivial(x.n_plus_1)
+    return _b_from_plan(flag, _flag_plan(flag, x.ctx), [x.coords], x.ctx)
 
 
 def omega_embed_q(x):

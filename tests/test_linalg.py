@@ -207,6 +207,16 @@ def test_flag_counts(ctx64, ctx729):
     assert by_len == {0: 1, 1: 14, 2: 21}
 
 
+def test_enumerate_flags_returns_a_fresh_list(ctx64):
+    # the flags are built once per field and n+1: a caller changing the list
+    # it was given does not change what the next call returns
+    flags = enumerate_flags(3, ctx64)
+    want = list(flags)
+    flags.reverse()
+    flags.pop()
+    assert enumerate_flags(3, ctx64) == want
+
+
 def test_subspace_order_against_direct_containment(ctx64, ctx729):
     """Slow oracle for the cached containment order: superspaces and flags
     recomputed pair by pair with Subspace.contains."""

@@ -16,6 +16,7 @@ from drinfeld import (
     b_from_flag_data,
     b_validate,
     context_for,
+    enumerate_flags,
     enumerate_omega,
     field_make,
     frobenius_twist,
@@ -401,8 +402,6 @@ def test_b_parametrisation_injective(ctx64):
     # fixed flag: distinct quotient data gives distinct points (n+1=3, m=2)
     from itertools import product as iproduct
 
-    from drinfeld import enumerate_flags
-
     for flag in enumerate_flags(3, ctx64):
         chain = flag.chain(ctx64)
         dims = [chain[t].dim - chain[t + 1].dim for t in range(len(chain) - 1)]
@@ -419,8 +418,6 @@ def test_b_parametrisation_injective(ctx64):
 
 
 def test_b_classification_is_the_built_flag(ctx64):
-    from drinfeld import enumerate_flags
-
     for m in (1, 2):
         for flag in enumerate_flags(3, ctx64):
             for x in b_enumerate_flag(flag, ctx64, m):
@@ -455,10 +452,32 @@ def test_b_classify_guards_divisor_chain_agreement(ctx64):
         b_classify(broken)
 
 
+def _divisors_by_every_superspace(x, above):
+    """The exceptional divisors of x by the full test, evaluating functionals
+    by coordinates: the proper V' on which l_W vanishes for every W > V'."""
+    return {
+        small
+        for small in x.family
+        if small.dim < x.n_plus_1
+        and not any(x.value(W, r) for W in above[small] for r in small.rows)
+    }
+
+
+@pytest.mark.parametrize("p, n_plus_1, m", [(2, 3, 1), (2, 3, 2), (3, 2, 1), (3, 2, 2), (2, 4, 1)])
+def test_b_divisors_on_covers_match_every_superspace(p, n_plus_1, m):
+    # b_classify reads covering pairs only; on compatible families that is
+    # the full divisor test, which is the oracle here
+    ctx = context_for(p, 1, n_plus_1, [m])
+    subs = all_subspaces(n_plus_1, ctx, include_zero=False)
+    above = {a: [b for b in subs if b.dim > a.dim and b.contains(a)] for a in subs}
+    for x in b_enumerate(ctx, n_plus_1, m):
+        assert _divisors_by_every_superspace(x, above) == set(b_classify(x).members)
+
+
 def test_b_built_point_classifying_elsewhere_raises(ctx64, monkeypatch):
     # the roundtrip check on built points is a raise, not an assert that
     # python -O would strip
-    from drinfeld import enumerate_flags, points
+    from drinfeld import points
 
     flag = next(f for f in enumerate_flags(3, ctx64) if len(f) == 2)  # one point
     monkeypatch.setattr(points, "b_classify", lambda x: Flag.trivial(3))
@@ -508,6 +527,15 @@ def test_b_line_table_is_each_functional_at_each_line(p, n_plus_1, m):
     pts = b_enumerate(ctx, n_plus_1, m)
     for x in pts:
         check(x)
+    # the other two entries to the flag builder: the first quotient data on
+    # every flag, and every dense P point embedded
+    for flag in enumerate_flags(n_plus_1, ctx):
+        chain = flag.chain(ctx)
+        choices = [enumerate_omega(big.dim - small.dim, ctx, m) for big, small in zip(chain, chain[1:])]
+        if all(choices):
+            check(b_from_flag_data(flag, [c[0] for c in choices], ctx))
+    for c in enumerate_omega(n_plus_1, ctx, m):
+        check(omega_embed_b(PPoint(ctx, c)))
     rng = random.Random(3)
     for x in rng.sample(pts, 10):
         check(point_from_obj(json.loads(json.dumps(point_to_obj(x)))))
