@@ -66,7 +66,9 @@ class GroupElement:
 
     def __init__(self, ctx, matrix):
         matrix = tuple(tuple(r) for r in matrix)
-        lead = next(a for row in matrix for a in row if a)
+        lead = next((a for row in matrix for a in row if a), None)
+        if lead is None:
+            raise ValueError("zero matrix")
         if lead != ctx.one:
             inv = lead.inverse()
             matrix = tuple(tuple(inv * a for a in row) for row in matrix)

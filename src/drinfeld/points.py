@@ -14,9 +14,9 @@ Classification sends a point to the stratum it lies in: the rational kernel
 (P), the support span (Q), or the kernel chain flag (B).
 
 A certificate linear in the input decides each axiom (Q: r = 1/l on the span
-of its support; B: l_W, l_W' proportional on the lines of W'); the scans over
-pairs of vectors run only once it fails, to name the first witness.  A BPoint
-tabulates each l_W at the lines of W once, so restricting it is a lookup.
+of its support; B: l_W the rescaled restriction of the first kernel chain
+member not vanishing on W); pair scans only name a failure's witness.  BPoints
+tabulate l_W at W's lines, and their JSON keys decode to the index's subspaces.
 """
 
 from itertools import combinations, product
@@ -107,10 +107,7 @@ class BPoint:
     __slots__ = ("ctx", "n_plus_1", "family", "on_lines")
 
     def __init__(self, ctx, n_plus_1, family, validate=True):
-        check_covers(len(family), n_plus_1, nonzero_subspaces, ctx.q,
-                     f"family must cover all nonzero subspaces of k^{n_plus_1}, got {len(family)}")
-        if len(family) > MAX_STRATA:
-            raise ValueError(f"{len(family)} subspaces exceed the desk-scale bound {MAX_STRATA}")
+        _check_family_size(len(family), n_plus_1, ctx)
         family = {W: normalize_functional(c) for W, c in family.items()}
         for W, c in family.items():
             if len(c) != W.dim:
@@ -156,6 +153,14 @@ class BPoint:
 
     def __repr__(self):
         return f"BPoint(n+1={self.n_plus_1}, {len(self.family)} functionals)"
+
+
+def _check_family_size(entries, n_plus_1, ctx):
+    "ValueError unless a family of this many entries can cover k^(n+1) at desk scale."
+    check_covers(entries, n_plus_1, nonzero_subspaces, ctx.q,
+                 f"family must cover all nonzero subspaces of k^{n_plus_1}, got {entries}")
+    if entries > MAX_STRATA:
+        raise ValueError(f"{entries} subspaces exceed the desk-scale bound {MAX_STRATA}")
 
 
 # ---------------------------------------------------------------------------
@@ -456,19 +461,30 @@ def restriction_proportional_ok(x):
 
 
 def b_validate(x):
-    """Run both compatibility tests on a BPoint; they must agree.
-
-    Returns a Validation that is truthy iff the family is compatible, the
-    witness the minor test's; raises DefectSignal if the two equivalent tests
-    ever disagree.
-    """
+    """Decide compatibility of a BPoint by the kernel-chain certificate: a
+    Validation, truthy iff compatible.  Only once the certificate fails do both
+    scans run, to name the minor test's witness, raising DefectSignal if they
+    disagree or accept the family."""
+    if _chain_certificate(x):
+        return Validation()
     minor_ok, witness = incidence_minors_ok(x)
     prop_ok, _ = restriction_proportional_ok(x)
     if minor_ok != prop_ok:
         raise DefectSignal(
             f"minor test ({minor_ok}) and proportionality test ({prop_ok}) disagree"
         )
-    return Validation(None if minor_ok else "incidence-minor", witness)
+    if minor_ok:
+        raise DefectSignal("the chain certificate failed on a family both tests accept")
+    return Validation("incidence-minor", witness)
+
+
+def _chain_certificate(x):
+    """Whether each l_W is the normalized restriction of the first l_(C_t) not
+    vanishing on W, C_0 = V > C_1 > ... x's kernel chain; iff x is compatible:
+    for W' < W, l_W' restricts the same l_(C_t), or W' < C_(t+1), where l_W is 0."""
+    tables = [x.on_lines[C] for C in (Subspace.full(x.n_plus_1, x.ctx), *_kernel_chain(x))]
+    return all(x.family[W] == tuple(inv * table[j] for j in rows)
+               for W, rows, _, table, inv in _chain_reads(tables, x.ctx, x.n_plus_1))
 
 
 def _kernel_chain(x):
@@ -525,6 +541,18 @@ def _line_ids(ctx, n_plus_1):
     )
 
 
+def _chain_reads(tables, ctx, n_plus_1):
+    """(W, row ids, line ids, table, 1/lead) per _line_ids entry: table the first
+    chain member's line table not zero at W's rows, which lie in each one passed."""
+    for W, rows, lines, _ in _line_ids(ctx, n_plus_1):
+        for table in tables:
+            if lead := next(filter(None, map(table.__getitem__, rows)), None):
+                break
+        else:
+            raise DefectSignal("the last member of a kernel chain vanishes on a subspace")
+        yield W, rows, lines, table, lead.inverse()
+
+
 def b_from_flag_data(flag, parts, ctx):
     """Assemble the unique BPoint with a given flag from dense quotient data.
 
@@ -573,13 +601,7 @@ def _b_from_plan(flag, plan, parts, ctx):
         func = tuple(apply_functional(part, row) for row in by_coordinate)
         tables.append({j: apply_functional(func, c) for j, c in member_lines.items()})
     family, on_lines = {}, {}
-    for W, rows, lines, _ in _line_ids(ctx, flag.n_plus_1):
-        # the member on C_t vanishes exactly on C_(t+1) among rational vectors,
-        # so W reads the first member not zero at all of W's rows
-        for table in tables:
-            if lead := next(filter(None, map(table.__getitem__, rows)), None):
-                break
-        inv = lead.inverse()
+    for W, rows, lines, table, inv in _chain_reads(tables, ctx, flag.n_plus_1):
         family[W] = tuple(inv * table[j] for j in rows)
         on_lines[W] = {j: inv * table[j] for j in lines}
     # compatible by construction, which the test suites check with b_validate;
@@ -700,6 +722,12 @@ def subspace_str(sub, ctx):
     if sub.dim == 0:
         return "0"
     return ";".join(vector_str(r, ctx) for r in sub.rows)
+
+
+@per_field
+def _subspace_by_str(ctx, n_plus_1):
+    "The rational index's nonzero subspaces of k^(n+1) by their strings."
+    return {subspace_str(W, ctx): W for subs in _subspace_order(ctx, n_plus_1).by_dim[1:] for W in subs}
 
 
 def subspace_from_str(s, ctx, n_plus_1):
@@ -837,6 +865,7 @@ def point_from_obj(obj, ctx=None, validate=True):
     A dict of the wrong shape (not an object, or missing a key) raises
     ValueError.  With validate=False the reciprocal/compatibility axioms are
     not enforced, so a caller can inspect an invalid table and report on it.
+    B keys are looked up in the rational index once their count is checked.
     """
     kind, ctx, data = _point_header(obj, ctx)
     if kind == "P":
@@ -847,8 +876,14 @@ def point_from_obj(obj, ctx=None, validate=True):
         return QPoint(ctx, n_plus_1, table, validate=validate)
     if kind == "B":
         n_plus_1, family = _json_fields(data, {"n_plus_1": int, "family": dict}, "data")
+        try:
+            _check_family_size(len(family), n_plus_1, ctx)
+        except ValueError:  # the constructor reports it, after any bad key
+            by_str = {}
+        else:
+            by_str = _subspace_by_str(ctx, n_plus_1)
         family = {
-            subspace_from_str(k, ctx, n_plus_1): _elements(v, ctx, "a family value")
+            by_str.get(k) or subspace_from_str(k, ctx, n_plus_1): _elements(v, ctx, "a family value")
             for k, v in family.items()
         }
         return BPoint(ctx, n_plus_1, family, validate=validate)

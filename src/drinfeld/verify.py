@@ -36,6 +36,7 @@ from .linalg import (
 )
 from .points import (
     BPoint,
+    _chain_certificate,
     PPoint,
     b_classify,
     b_enumerate,
@@ -270,9 +271,9 @@ def check_points_q_support(cfg):
 
 
 def _b_two_tests(cfg):
-    """Both compatibility tests on every constructed family, then on
-    cfg.perturbations families with one functional replaced at random, per
-    configuration.  Returns (ok, detail, number of families checked)."""
+    """Both compatibility tests and the chain certificate on every constructed
+    family, then on cfg.perturbations families with one functional replaced at
+    random, per configuration.  Returns (ok, detail, number of families checked)."""
     rng = random.Random(cfg.seed)
     checked = 0
     for q, n_plus_1, m, ctx in _configs(cfg):
@@ -281,7 +282,7 @@ def _b_two_tests(cfg):
         for x in pts:
             a, _ = incidence_minors_ok(x)
             b, _ = restriction_proportional_ok(x)
-            if not a or not b:
+            if not a or not b or not _chain_certificate(x):
                 return False, "constructed family failed validation", checked
         for _ in range(cfg.perturbations):
             x = rng.choice(pts)
@@ -294,6 +295,8 @@ def _b_two_tests(cfg):
             if a != b:
                 detail = f"tests disagree ({a} vs {b}) at witness {wit_a or wit_b}"
                 return False, detail, checked
+            if _chain_certificate(y) != a:
+                return False, f"the chain certificate disagrees with both tests ({a}) at witness {wit_a}", checked
         checked += len(pts) + cfg.perturbations
     return True, "", checked
 

@@ -97,6 +97,15 @@ def test_group_element_normalization(ctx729):
     assert g.is_identity()
 
 
+def test_group_element_rejects_the_zero_matrix(ctx729):
+    zero = ((ctx729.zero,) * 2,) * 2
+    with pytest.raises(ValueError, match="zero matrix"):
+        GroupElement(ctx729, zero)
+    # inside a generator a bare StopIteration would surface as RuntimeError
+    with pytest.raises(ValueError, match="zero matrix"):
+        list(GroupElement(ctx729, m) for m in (zero,))
+
+
 def test_inverse_and_order(ctx64):
     for g in enumerate_pgl(2, ctx64):
         assert g.compose(g.inverse()).is_identity()

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 from itertools import combinations, product
@@ -573,39 +574,59 @@ def _minors_oracle(family, ctx):
         W: dict(zip(W.vectors(ctx), (apply_functional(f, c) for c in product(ctx.k_elements, repeat=W.dim))))
         for W, f in family.items()
     }
-    subs = sorted(family, key=Subspace.sort_key)
-    for small in subs:
-        for big in (W for W in subs if W.dim > small.dim and W.contains(small)):
-            vals_b, vals_s = values[big], values[small]
-            for v, w in combinations([v for v in vals_s if any(v)], 2):
-                if vals_b[v] * vals_s[w] != vals_b[w] * vals_s[v]:
-                    return False, (big, small, v, w)
+    for small, big in _oracle_pairs(tuple(sorted(family, key=Subspace.sort_key))):
+        vals_b, vals_s = values[big], values[small]
+        for v, w in combinations([v for v in vals_s if any(v)], 2):
+            if vals_b[v] * vals_s[w] != vals_b[w] * vals_s[v]:
+                return False, (big, small, v, w)
     return True, None
 
 
+@functools.lru_cache(maxsize=8)
+def _oracle_pairs(subs):
+    "Every (W', W) with W' < W among subs, by containment of rows, in subs' order."
+    return [(small, big) for small in subs for big in subs if big.dim > small.dim and big.contains(small)]
+
+
 def test_b_two_tests_agree_on_random_perturbations(ctx64, ctx729):
+    # the chain certificate that decides b_validate, both scans and the
+    # oracle, on every B point and on points with 1-3 functionals replaced
+    from drinfeld.points import _chain_certificate
+
     rng = random.Random(11)
     failed = 0
     # n+1 = 4 has pairs W' < W with W' of dimension 3, more lines than a basis
-    ctx2 = context_for(2, 1, 4, [1])
     for ctx, n_plus_1, m in (
-        (ctx64, 2, 2), (ctx64, 3, 1), (ctx64, 3, 2), (ctx729, 2, 2), (ctx2, 4, 1)
+        (ctx64, 2, 2), (ctx64, 3, 1), (ctx64, 3, 2), (ctx729, 2, 1), (ctx729, 2, 2),
+        (context_for(2, 1, 4, [1]), 4, 1), (context_for(2, 2, 2, [1]), 2, 1),
     ):
         pts = b_enumerate(ctx, n_plus_1, m)
         subs = all_subspaces(n_plus_1, ctx, include_zero=False)
+        families = [x.family for x in pts]
         for _ in range(120):
-            x = rng.choice(pts)
-            W = rng.choice(subs)
-            fam = dict(x.family)
-            fam[W] = rng.choice(enumerate_functionals(W.dim, ctx, m))
+            fam = dict(rng.choice(pts).family)
+            for W in rng.sample(subs, rng.randint(1, 3)):
+                fam[W] = rng.choice(enumerate_functionals(W.dim, ctx, m))
+            families.append(fam)
+        for fam in families:
             y = BPoint(ctx, n_plus_1, fam, validate=False)
             a, wit_a = incidence_minors_ok(y)
             b, _ = restriction_proportional_ok(y)
-            assert a == b
+            assert _chain_certificate(y) == a == b == bool(b_validate(y))
             assert (a, wit_a) == _minors_oracle(fam, ctx)
+            # at n+1 = 2 every minor vanishes: a line holds no two independent vectors
+            assert a or n_plus_1 > 2
             failed += not a
-    # at n+1 = 2 every minor vanishes: a line holds no two independent vectors
-    assert 0 < failed < 360
+    assert failed > 0
+
+
+def test_b_validate_raises_when_the_certificate_refuses_a_compatible_family(ctx64, monkeypatch):
+    from drinfeld import points
+
+    x = b_enumerate(ctx64, 3, 1)[0]
+    monkeypatch.setattr(points, "_chain_certificate", lambda x: False)
+    with pytest.raises(DefectSignal, match="both tests accept"):
+        b_validate(x)
 
 
 def test_b_minors_and_scan_disagreeing_raise(ctx64, monkeypatch):
@@ -662,6 +683,45 @@ def test_point_json_rejects_unknown_kind(ctx64):
     obj["kind"] = "X"
     with pytest.raises(ValueError):
         point_from_obj(obj)
+
+
+def test_b_points_decode_to_the_rational_index_subspaces(ctx64):
+    from drinfeld.linalg import _subspace_order
+
+    own = {W: W for subs in _subspace_order(ctx64, 3).by_dim for W in subs}
+    for x in b_enumerate(ctx64, 3, 2):
+        y = point_from_obj(json.loads(json.dumps(point_to_obj(x))))
+        assert y == x
+        assert all(own[W] is W for W in y.family)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("1,0;0,1", "0,1;1,0", "subspace rows are not in canonical echelon form"),
+    ("1,1", "1,2", "vector '1,2' is not a list of indices in range(2)"),
+])
+def test_b_family_key_errors_are_those_of_the_parser(ctx64, old, new, message):
+    obj = point_to_obj(b_enumerate(ctx64, 2, 1)[0])
+    family = obj["data"]["family"]
+    family[new] = family.pop(old)
+    with pytest.raises(ValueError) as info:
+        point_from_obj(obj)
+    assert str(info.value) == message
+
+
+def test_b_family_of_the_wrong_size_builds_no_index(ctx64, tmp_path, monkeypatch, capsys):
+    from drinfeld import cli, points
+
+    def refuse(*args):
+        raise AssertionError("the rational index was built")
+
+    monkeypatch.setattr(points, "_subspace_order", refuse)
+    key = ",".join(["1"] + ["0"] * 59)
+    obj = {"kind": "B", "field": point_to_obj(PPoint(ctx64, (ctx64.one,)))["field"],
+           "data": {"n_plus_1": 60, "family": {key: [[1, 0, 0]]}}}
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["classify", "--input", str(path)]) == 2
+    assert "family must cover" in capsys.readouterr().err
 
 
 def test_subspace_str_roundtrip(ctx64):
