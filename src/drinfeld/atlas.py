@@ -18,7 +18,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
 
-from .counts import check_desk_scale, stratum_total, variety_total
+from .counts import MAX_JOBS, check_desk_scale, stratum_total, variety_total
 from .errors import InvariantViolation
 from .linalg import _subspace_order, all_subspaces, enumerate_flags
 from .points import (
@@ -143,7 +143,7 @@ def count_stratum_points(variety, n_plus_1, ctx, m, jobs=1):
     tasks = _tasks_for(variety, n_plus_1, ctx, m)
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_worker_init, initargs=(ctx, variety, n_plus_1)
+            max_workers=min(jobs, len(tasks)), initializer=_worker_init, initargs=(ctx, variety, n_plus_1)
         ) as pool:
             results = list(pool.map(_count_task, tasks))
     else:
@@ -201,17 +201,20 @@ def _cache_header(variety, ctx, n_plus_1, m):
 
 
 def _cache_store(cache_dir, variety, ctx, n_plus_1, m, counts):
-    os.makedirs(cache_dir, exist_ok=True)
+    "Write the counts; ValueError naming the file if it cannot be written."
     obj = {**_cache_header(variety, ctx, n_plus_1, m), "counts": counts}
     path = _cache_path(cache_dir, variety, ctx, n_plus_1, m)
     # written beside the target and renamed into place, so a reader sees
     # either the old file or the whole new one, never a partial write
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
+        os.makedirs(cache_dir, exist_ok=True)
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
             fh.write("\n")
         os.replace(tmp, path)
+    except OSError as exc:
+        raise ValueError(f"cannot write the count cache {path}: {exc.strerror or exc}") from None
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -226,10 +229,13 @@ def build_atlas(variety, n_plus_1, ctx, m_list, jobs=1, cache_dir=None):
     The cache (one JSON file per variety/q/n/m under cache_dir) is an
     optimization only; counts are recomputed whenever it is absent or
     stale, and cache_dir=None neither reads nor writes it.  A count that
-    differs from its stratum's closed form raises InvariantViolation.
+    differs from its stratum's closed form raises InvariantViolation; more
+    than MAX_JOBS jobs raise ValueError before anything is built.
     """
     if variety not in VARIETIES:
         raise ValueError(f"variety must be one of {VARIETIES}")
+    if jobs > MAX_JOBS:
+        raise ValueError(f"jobs must be at most {MAX_JOBS}, got {jobs}")
     check_desk_scale(variety, n_plus_1, ctx.q, m_list)
     node_objs = _node_objects(variety, n_plus_1, ctx)
     nodes = [

@@ -12,7 +12,7 @@ import sys
 from functools import lru_cache
 
 from .atlas import build_atlas, export
-from .counts import check_desk_scale
+from .counts import MAX_JOBS, check_desk_scale
 from .errors import InvariantViolation
 from .field import FieldCtx, context_for
 from .points import (
@@ -37,12 +37,14 @@ from .action import (
 from .verify import CHECKS, VerifyConfig, run_acceptance, verify_all
 
 
-def _at_least(args, name, low):
-    "ValueError unless the option --name is at least low."
+def _in_range(args, name, low, high=float("inf")):
+    "ValueError unless the option --name is at least low and at most high."
     value = getattr(args, name)
+    option = "--" + name.replace("_", "-")
     if value < low:
-        option = "--" + name.replace("_", "-")
         raise ValueError(f"{option} must be at least {low}, got {value}")
+    if value > high:
+        raise ValueError(f"{option} must be at most {high}, got {value}")
 
 
 def _out_json(obj):
@@ -147,8 +149,8 @@ def _parse_m_list(text):
 
 
 def _build(args):
-    _at_least(args, "n", 1)
-    _at_least(args, "jobs", 1)
+    _in_range(args, "n", 1)
+    _in_range(args, "jobs", 1, MAX_JOBS)
     m_list = _parse_m_list(args.m) if args.m else []
     ctx = context_for(args.p, args.e, args.n + 1, m_list or [1])
     cache_dir = None if args.no_cache else args.cache_dir
@@ -193,10 +195,9 @@ def cmd_verify(args):
         results = run_acceptance()
     else:
         try:
-            for name, low in (
-                ("max_n", 1), ("max_m", 1), ("perturbations", 0), ("jobs", 1)
-            ):
-                _at_least(args, name, low)
+            for name, low in (("max_n", 1), ("max_m", 1), ("perturbations", 0)):
+                _in_range(args, name, low)
+            _in_range(args, "jobs", 1, MAX_JOBS)
             qs = tuple(int(t) for t in args.q.split(","))
             for q in qs:
                 # the suites run over prime fields (size bound before primality),
@@ -277,7 +278,7 @@ def _parser():
         p_cmd.add_argument("--no-cache", action="store_true")
         p_cmd.add_argument("--p", type=int, default=2, help="field characteristic")
         p_cmd.add_argument("--e", type=int, default=1, help="base degree, q = p^e")
-        p_cmd.add_argument("--jobs", type=int, default=1, help="worker processes")
+        p_cmd.add_argument("--jobs", type=int, default=1, help=f"worker processes, at most {MAX_JOBS}")
         p_cmd.set_defaults(fn=fn)
 
     p_verify = sub.add_parser(
@@ -294,7 +295,7 @@ def _parser():
         "--seed", type=int, default=0,
         help="seed for randomized perturbation tests (results stay deterministic)",
     )
-    p_verify.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p_verify.add_argument("--jobs", type=int, default=1, help=f"worker processes, at most {MAX_JOBS}")
     p_verify.set_defaults(fn=cmd_verify)
     return parser
 

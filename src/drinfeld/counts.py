@@ -15,6 +15,7 @@ import math
 MAX_STRATA = 4_000
 MAX_POINTS = 200_000  # of an atlas over one k_m
 MAX_GROUP = 10**5  # elements of an enumerated PGL(n+1)(k)
+MAX_JOBS = 64  # worker processes of one count, which a pool starts all at once
 
 
 def gaussian_binomial(n, d, q):

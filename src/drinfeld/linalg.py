@@ -309,7 +309,7 @@ def _k_digits(ctx):
 
 
 _RationalIndex = namedtuple(
-    "_RationalIndex", "by_dim above subspace_id lines line_id line_coords by_lines"
+    "_RationalIndex", "by_dim above subspace_id lines line_id line_coords by_lines subspaces"
 )
 
 
@@ -321,8 +321,9 @@ def _subspace_order(ctx, n_plus_1):
     order) is spanned by the normalized lines[j] (line_id inverts it), and
     line_coords[s] maps the lines in subspace s, in order, to their
     coordinates in W_s's echelon basis (entries at its pivots); by_lines
-    inverts their bitset.  Echelon rows are normalized line vectors, so a row
-    r of W' <= W_s has coordinates line_coords[s][line_id[r]], with no solving.
+    inverts their bitset to s, and subspaces[s] is W_s.  Echelon rows are
+    normalized line vectors, so a row r of W' <= W_s has coordinates
+    line_coords[s][line_id[r]], with no solving.
     W_s's rows being reduced echelon, sum c_i r_i is a normalized line vector
     exactly when c is, and c is then its coordinates: W_s's lines come from c.
 
@@ -351,7 +352,7 @@ def _subspace_order(ctx, n_plus_1):
     # an echelon row is normalized: its first nonzero entry is its pivot, 1
     lines = tuple(L.rows[0] for L in by_dim[1])
     line_id = {u: j for j, u in enumerate(lines)}
-    subspaces = [W for subs in by_dim for W in subs]
+    subspaces = tuple(W for subs in by_dim for W in subs)
     # the normalized c of length d: ends of the lines of k^(n+1) zero before them
     tails = [[]] + [[u[-d:] for u in lines if not any(u[:-d])] for d in range(1, n_plus_1 + 1)]
     line_coords = tuple(
@@ -372,12 +373,12 @@ def _subspace_order(ctx, n_plus_1):
             if b != s and bits[b] & bits[s] == bits[s]
         )
         if a.rows
-        else tuple(subspaces[1:])
+        else subspaces[1:]
         for s, a in enumerate(subspaces)
     }
     return _RationalIndex(
         tuple(by_dim), above, {W: s for s, W in enumerate(subspaces)}, lines,
-        line_id, line_coords, {b: s for s, b in enumerate(bits)},
+        line_id, line_coords, {b: s for s, b in enumerate(bits)}, subspaces,
     )
 
 

@@ -11,7 +11,8 @@ field:
   l_W(v) l_W'(v') = l_W(v') l_W'(v) for v, v' in W' subset W.
 
 Classification sends a point to the stratum it lies in: the rational kernel
-(P), the support span (Q), or the kernel chain flag (B).
+(P), the support span (Q), or the kernel chain flag (B), read off B's line
+tables with no linear solve.
 
 A certificate linear in the input decides each axiom (Q: r = 1/l on the span
 of its support; B: l_W the rescaled restriction of the first kernel chain
@@ -30,7 +31,6 @@ from .linalg import (
     _subspace_order,
     all_subspaces,
     apply_functional,
-    coords_to_ambient,
     enumerate_flags,
     normalize_functional,
     functional_ratio,
@@ -488,32 +488,28 @@ def _chain_certificate(x):
 
 
 def _kernel_chain(x):
-    "Descending chain V_0 > V_1 > ... ending just above {0}, possibly empty."
-    ctx = x.ctx
-    chain = []
-    cur = Subspace.full(x.n_plus_1, ctx)
-    while cur.dim > 0:
-        ker = rational_kernel(x.family[cur], ctx)
-        if ker.dim == 0:
-            break
-        # reduced echelon coordinates in a reduced echelon basis map to
-        # reduced echelon rows, pivots at cur's pivots that ker's pick
-        nxt = Subspace(x.n_plus_1, tuple(coords_to_ambient(cur, ker.rows, ctx)))
-        chain.append(nxt)
-        cur = nxt
+    """Descending chain V_0 > V_1 > ... ending just above {0}, possibly empty:
+    V_(t+1) is the rational kernel of l_(V_t), spanned by the lines where V_t's
+    line table is zero, which the rational index maps back to the subspace."""
+    index = _subspace_order(x.ctx, x.n_plus_1)
+    chain, cur = [], Subspace.full(x.n_plus_1, x.ctx)
+    while zeros := sum(1 << j for j, a in x.on_lines[cur].items() if not a):
+        cur = index.subspaces[index.by_lines[zeros]]
+        chain.append(cur)
     return chain
 
 
 def b_classify(x):
     """The stratum of a BPoint: the flag cut out by the kernel chain.
 
-    Starting from the whole space, intersect each member with the rational
-    kernel of its functional until {0}.  As a cross-check, the members must
-    be exactly the exceptional divisors the point lies on: the proper V'
-    with l_W vanishing on V' for every W covering V' (dim W = dim V' + 1),
-    read from the line table.  On a compatible family that is every strict
-    superspace W: W contains a cover W_1 of V', and l_W restricted to W_1 is
-    c * l_W_1, so it vanishes on V' when l_W_1 does.
+    From the whole space, each member is the rational kernel of the one
+    before, read off that one's own line table, until {0}.  As a cross-check,
+    the members must be exactly the exceptional divisors the point lies on:
+    the proper V' with l_W vanishing on V' for every W covering V'
+    (dim W = dim V' + 1), read from the covers' tables at V''s rows.  On a
+    compatible family that is every strict superspace W: W contains a cover
+    W_1 of V', and l_W restricted to W_1 is c * l_W_1, so it vanishes on V'
+    when l_W_1 does.
     """
     chain = _kernel_chain(x)
     divisors = {

@@ -417,6 +417,64 @@ def test_count_recounts_over_a_damaged_cache(tmp_path, m, damage):
         assert fh.read() == good
 
 
+def test_count_with_a_cache_dir_that_is_a_file_is_an_error(tmp_path):
+    cache = tmp_path / "atlas-cache"
+    cache.write_text("")
+    proc = run_cli(["count", "--variety", "P", "--n", "1", "--m", "1", "--cache-dir", str(cache)])
+    _assert_one_error_line(proc)
+    assert str(cache) in proc.stderr.decode()
+
+
+def test_strata_with_a_cache_file_that_is_a_directory_is_an_error(tmp_path):
+    path = tmp_path / "P_q2_n1_m1.json"
+    path.mkdir()
+    proc = run_cli(["strata", "--variety", "P", "--n", "1", "--m", "1", "--cache-dir", str(tmp_path)])
+    _assert_one_error_line(proc)
+    assert str(path) in proc.stderr.decode()
+    assert sorted(os.listdir(tmp_path)) == ["P_q2_n1_m1.json"] and path.is_dir()
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--variety", "Q", "--n", "1", "--m", "1", "--no-cache"],
+    ["strata", "--variety", "P", "--n", "1", "--m", "1", "--no-cache"],
+    ["verify", "--suites", "atlas", "--max-n", "1"],
+])
+def test_more_jobs_than_the_bound_make_no_pool(argv, monkeypatch, capsys):
+    # a pool starts all its workers at once, so the bound is checked before
+    # any is asked for; the pool here raises if it is made at all
+    from drinfeld import atlas, cli
+    from drinfeld.counts import MAX_JOBS
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was made")
+
+    monkeypatch.setattr(atlas, "ProcessPoolExecutor", no_pool)
+    assert cli.main(argv + ["--jobs", str(MAX_JOBS + 1)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.count("\n") == 1 and f"--jobs must be at most {MAX_JOBS}" in err
+
+
+def test_the_pool_has_no_more_workers_than_tasks(monkeypatch):
+    # Q at n+1 = 2 over GF(2) counts 4 strata, one task each; past the bound,
+    # build_atlas refuses before it counts
+    from drinfeld import atlas
+    from drinfeld.counts import MAX_JOBS
+
+    sizes = []
+
+    def recording_pool(max_workers, **kwargs):
+        sizes.append(max_workers)
+        raise RuntimeError("no pool")
+
+    monkeypatch.setattr(atlas, "ProcessPoolExecutor", recording_pool)
+    ctx = context_for(2, 1, 2, [1])
+    with pytest.raises(ValueError, match=f"at most {MAX_JOBS}"):
+        atlas.build_atlas("Q", 2, ctx, [1], jobs=MAX_JOBS + 1)
+    with pytest.raises(RuntimeError, match="no pool"):
+        atlas.count_stratum_points("Q", 2, ctx, 1, jobs=MAX_JOBS)
+    assert sizes == [4]
+
+
 def test_strata_no_cache_leaves_cache_dir_absent(tmp_path):
     cache = str(tmp_path / "atlas-cache")
     proc = run_cli(["strata", "--variety", "P", "--n", "1", "--m", "1",

@@ -35,7 +35,7 @@ from drinfeld import (
     twist_span_dim,
 )
 from drinfeld.errors import DefectSignal, InvariantViolation
-from drinfeld.linalg import apply_functional
+from drinfeld.linalg import apply_functional, coords_to_ambient, rational_kernel
 from drinfeld.points import (
     b_enumerate_flag,
     canonical_vectors,
@@ -636,6 +636,73 @@ def test_b_minors_and_scan_disagreeing_raise(ctx64, monkeypatch):
     monkeypatch.setattr(points, "_minors_vanish", lambda *args: False)
     with pytest.raises(DefectSignal):
         incidence_minors_ok(x)
+
+
+def _kernel_chain_by_elimination(x):
+    """The kernel chain found by solving: each member's rational kernel by an
+    F_p elimination, its rows mapped back from the member's coordinates."""
+    ctx, chain = x.ctx, []
+    cur = Subspace.full(x.n_plus_1, ctx)
+    while (ker := rational_kernel(x.family[cur], ctx)).dim:
+        # reduced echelon coordinates in a reduced echelon basis map to
+        # reduced echelon rows, pivots at cur's pivots that ker's pick
+        cur = Subspace(x.n_plus_1, tuple(coords_to_ambient(cur, ker.rows, ctx)))
+        chain.append(cur)
+    return chain
+
+
+@pytest.mark.parametrize("p, e, n_plus_1, m", [
+    (2, 1, 2, 1), (2, 1, 2, 2), (2, 1, 2, 3), (2, 1, 3, 1), (2, 1, 3, 2), (3, 1, 2, 1),
+    (3, 1, 2, 2), (2, 1, 4, 1), (3, 1, 3, 1), (2, 2, 2, 1), (2, 2, 3, 1),
+])
+def test_kernel_chain_is_the_elimination_chain(p, e, n_plus_1, m):
+    # the chain read off the line tables, on every B point as built from its
+    # flag and as tabulated from its family, and on 200 families with 1-3
+    # functionals replaced, compatible or not
+    from drinfeld.points import _kernel_chain
+
+    ctx = context_for(p, e, n_plus_1, [m])
+    rng = random.Random(n_plus_1 * 100 + p * 10 + m)
+    pts = b_enumerate(ctx, n_plus_1, m)
+    subs = all_subspaces(n_plus_1, ctx, include_zero=False)
+    families = [x.family for x in pts]
+    for _ in range(200):
+        fam = dict(rng.choice(pts).family)
+        for W in rng.sample(subs, rng.randint(1, 3)):
+            fam[W] = rng.choice(enumerate_functionals(W.dim, ctx, m))
+        families.append(fam)
+    for y in pts + [BPoint(ctx, n_plus_1, fam, validate=False) for fam in families]:
+        assert _kernel_chain(y) == _kernel_chain_by_elimination(y)
+
+
+def test_b_classify_requests_solve_no_linear_system(tmp_path, monkeypatch, capsysbinary):
+    # decoding, validating and classifying a B point read the kernel chain off
+    # the line tables: with both solvers raising, every B point at (2, 3, 2)
+    # classifies to the same bytes
+    from drinfeld import cli, linalg, points
+
+    ctx = context_for(2, 1, 3, [2])
+    files = []
+    for i, x in enumerate(b_enumerate(ctx, 3, 2)):
+        files.append(tmp_path / f"b{i}.json")
+        files[-1].write_text(json.dumps(point_to_obj(x)))
+
+    def classified():
+        out = []
+        for path in files:
+            code = cli.main(["classify", "--input", str(path), "--format", "json"])
+            out.append((code, *capsysbinary.readouterr()))
+        return out
+
+    def solve(*args):
+        raise AssertionError("a linear system was solved on the B read path")
+
+    before = classified()
+    for module in (points, linalg):
+        monkeypatch.setattr(module, "rational_kernel", solve)
+        monkeypatch.setattr(module, "coords_to_ambient", solve, raising=False)
+    assert classified() == before
+    assert len(before) == 49 and all(b'"valid":true' in out for _, out, _ in before)
 
 
 def test_pi_map_hits_every_reachable_stratum(ctx64):
