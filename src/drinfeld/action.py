@@ -39,6 +39,7 @@ from .linalg import (
     logs_proportional,
     normalize_functional,
     functional_ratio,
+    pivot_row,
     quotient_functional,
     rational_kernel,
     reduce_vector,
@@ -197,11 +198,9 @@ def _enumerate_pgl_cached(ctx, n_plus_1):
             out.append(GroupElement(ctx, rows))
             return
         for v in vectors if rows else heads:
-            w = reduce_vector(v, echelon)
-            pivot = next((i for i, a in enumerate(w) if a), None)
-            if pivot is not None:
-                inv = w[pivot].inverse()
-                grow(rows + [v], echelon + [(pivot, [inv * a for a in w])])
+            new = pivot_row(reduce_vector(v, echelon))
+            if new is not None:
+                grow(rows + [v], echelon + [new])
 
     grow([], [])
     assert len(out) == pgl_order(n_plus_1, ctx.q)

@@ -269,9 +269,10 @@ def _parser():
         p_cmd.add_argument("--variety", choices=("P", "Q", "B"), required=True)
         p_cmd.add_argument("--n", type=int, required=True, help="dim V = n+1")
         p_cmd.add_argument("--m", default="", help="extension degrees, e.g. 1,2")
+        # count has no DOT form: dot is refused like any other bad choice
         p_cmd.add_argument(
             "--format",
-            choices=("json", "dot", "text"),
+            choices=("json", "text") if name == "count" else ("json", "dot", "text"),
             default="text" if name == "count" else "json",
         )
         p_cmd.add_argument("--cache-dir", default=None)

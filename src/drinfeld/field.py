@@ -12,9 +12,10 @@ elements compare and hash by identity: two elements of one field are equal
 exactly when their codes are, and elements of two fields never are.  It also
 holds, over a primitive element g, log tables and Zech's logarithms
 log(1 + g^n) (Lidl & Niederreiter, Finite Fields, ch. 9): every operation is
-one table step.  Polynomial arithmetic is left to the irreducibility test
-and the table build.  Whatever else is built for a field, by a @per_field
-function, is kept on its context and freed with it.
+one table step, the Frobenius and its inverse included, so linear algebra
+needs no other element type.  Polynomial arithmetic is left to the
+irreducibility test and the table build.  Whatever else is built for a
+field, by a @per_field function, is kept on its context and freed with it.
 """
 
 import math
@@ -216,8 +217,6 @@ class FieldCtx:
     call; a call that raises builds and keeps nothing.  Unpickling, in a
     worker process too, returns that process's live context.  What
     @per_field functions build for the field is kept on it and freed with it.
-    k_basis = (1, a, ..., a^(e-1)) is an F_p-basis of k: a = g^((p^D-1)/(q-1))
-    generates k^x, so it has degree e.
     """
 
     def __new__(cls, p, e, D, modulus=None):
@@ -256,7 +255,6 @@ class FieldCtx:
         self._inv_q = pow(self.q, D // e - 1, order)
         self._memo = {}
         self.k_elements = self.subfield_elements(1)
-        self.k_basis = tuple(self._antilog[i * (order // (self.q - 1))] for i in range(e))
         _LIVE[p, e, D, modulus] = self
 
     def element(self, coeffs):
@@ -373,30 +371,6 @@ class Element:
 def _interned_element(ctx, code):
     "The element of ctx with this code: how an Element unpickles."
     return ctx._els[code]
-
-
-def _int_rref_mod_p(rows, p):
-    """Gauss-Jordan elimination of an integer matrix mod p.
-
-    Returns (the nonzero reduced rows, their pivot columns), entries in
-    range(p).
-    """
-    mat = [list(r) for r in rows]
-    pivots = []
-    for col in range(len(mat[0]) if mat else 0):
-        rank = len(pivots)
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] % p), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        mat[rank] = [(inv * v) % p for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] % p:
-                c = mat[r][col]
-                mat[r] = [(a - c * b) % p for a, b in zip(mat[r], mat[rank])]
-        pivots.append(col)
-    return mat[: len(pivots)], pivots
 
 
 def field_make(p, e, lcm_degrees):

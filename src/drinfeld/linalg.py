@@ -3,23 +3,27 @@
 Subspaces of V = k^(n+1) are kept in reduced row-echelon form, which is the
 unique canonical basis: subspace equality is plain tuple equality and every
 subspace is hashable.  Flags are strictly increasing chains of proper nonzero
-subspaces, ordered ascending (smallest member first).  One reduction,
-reduce_vector, takes a vector against echelon rows for every caller:
-membership and coordinates here, the row test of the PGL(V)(k) enumeration
-and the reciprocal-map certificate.
+subspaces, ordered ascending (smallest member first).  All of it runs over
+GF(p^D), with one elimination.  One reduction, reduce_vector, takes a vector
+against echelon rows for every caller, and one step, pivot_row, scales a
+nonzero residual into a new row: rref and the rational kernel, the row test
+of the PGL(V)(k) enumeration and the reciprocal-map certificate all grow
+their rows so, and membership and coordinates reduce against a subspace's.
 """
 
 from collections import namedtuple
 from itertools import combinations, product
 
-from .field import _int_rref_mod_p, per_field
+from .field import per_field
 
 
 def rref(rows):
     """Reduced row-echelon form over the elements' field.
 
     Returns (tuple of nonzero echelon rows, rank).  Rows must all have the
-    same length.
+    same length.  Each row is reduced against the echelon rows so far, and
+    a nonzero residual joins them as a pivot row whose pivot is taken off the
+    earlier rows; the scan stops once the rows span.
     """
     rows = [list(r) for r in rows]
     if not rows:
@@ -27,27 +31,29 @@ def rref(rows):
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValueError("ragged rows")
-    rank = 0
-    for col in range(width):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [inv * v for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                c = rows[r][col]
-                rows[r] = [a - c * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
+    echelon = []
+    for v in rows:
+        if len(echelon) == width:
             break
-    out = tuple(tuple(r) for r in rows[:rank] if any(r))
+        _insert_reduced(echelon, reduce_vector(v, echelon))
+    out = tuple(tuple(r) for _, r in sorted(echelon, key=lambda pr: pr[0]))
     return out, len(out)
+
+
+def _insert_reduced(echelon, w):
+    """Add the residual w of a vector against the reduced echelon rows
+    echelon, (pivot, row) pairs, as a new pivot row and take its pivot off
+    the rows before it, so they stay reduced; whether w was nonzero."""
+    new = pivot_row(w)
+    if new is None:
+        return False
+    pivot, row = new
+    for i, (p, r) in enumerate(echelon):
+        c = r[pivot]
+        if c:
+            echelon[i] = (p, [a - c * b for a, b in zip(r, row)])
+    echelon.append(new)
+    return True
 
 
 def reduce_vector(v, echelon):
@@ -59,6 +65,16 @@ def reduce_vector(v, echelon):
         if c:
             v = [a - c * b for a, b in zip(v, row)]
     return v
+
+
+def pivot_row(w):
+    """(pivot, w scaled to 1 there) for w's first nonzero entry, the pivot:
+    how a residual of reduce_vector joins echelon rows; None for w zero."""
+    for pivot, a in enumerate(w):
+        if a:
+            inv = a.inverse()
+            return pivot, [inv * b for b in w]
+    return None
 
 
 def vec_key(v):
@@ -270,42 +286,33 @@ def apply_functional(coords, v):
 
 def rational_kernel(coords, ctx):
     """The k-rational kernel {v in k^(n+1) : sum coords_i v_i = 0}, in
-    canonical echelon form over k, read off one elimination of its F_p system.
+    canonical echelon form over k, read off the twists of coords.
 
-    The unknowns are the F_p-coordinates u = j*e + t of v_j = sum_t c_{j,t}
-    beta_t, with beta_0 = 1.  Reduced with its columns in reverse order, the
-    system pivots from the last unknown, so the solution b_f of a free
-    unknown f is 1 at f and nonzero elsewhere only at pivots right of f; the
-    b_f with f >= j*e span K_j, the solutions zero before v_j.  K_j is a
-    k-space and v -> v_j embeds K_j / K_(j+1) in k, so each block of e
-    unknowns is all free or all pivots.  The b_(j*e) of the free blocks, read
-    as k-vectors, are then zero before v_j, 1 at v_j and zero at every other
-    free block: they are the reduced echelon rows.
+    The common kernel over GF(p^D) of l and its twists F^(-i)(l) is stable
+    under F^(-1) entrywise, so its reduced echelon rows, unique, are fixed by
+    it: they lie in k^(n+1) and span the rational kernel.  The twists, their
+    columns reversed, grow reduced echelon rows until one reduces to zero,
+    after which the span is closed under twisting, or they span.  The
+    solution of a free column f, 1 at f and 0 at the other free columns, is
+    then nonzero elsewhere only at pivots right of f: these are the reduced
+    echelon rows of the kernel.
     """
-    n_plus_1, e, p = len(coords), ctx.e, ctx.p
-    # column last - u holds unknown u's coefficient coords[j] * beta_t
-    cols = [(a * beta).coeffs for a in reversed(coords) for beta in reversed(ctx.k_basis)]
-    last, digits = len(cols) - 1, _k_digits(ctx)
-    ech, pivots = _int_rref_mod_p(list(zip(*cols)), p)
+    n_plus_1, zero, one = len(coords), ctx.zero, ctx.one
+    last, twist, echelon = n_plus_1 - 1, coords[::-1], []
+    while len(echelon) < n_plus_1 and _insert_reduced(echelon, reduce_vector(twist, echelon)):
+        twist = [ctx.inv_frobenius(a) for a in twist]
+    pivots = {last - p for p, _ in echelon}
     rows = []
-    for f in range(0, last + 1, e):  # the first unknown of each block
-        if last - f in pivots:
+    for f in range(n_plus_1):
+        if f in pivots:
             continue
-        b = [0] * (last + 1)  # b_f by unknown
-        b[f] = 1
-        for r, c in zip(ech, pivots):
-            b[last - c] = -r[last - f] % p
-        rows.append(tuple(digits[tuple(b[i : i + e])] for i in range(0, last + 1, e)))
+        row = [zero] * n_plus_1
+        row[f] = one
+        for p, r in echelon:
+            if c := r[last - f]:
+                row[last - p] = -c
+        rows.append(tuple(row))
     return Subspace(n_plus_1, tuple(rows))
-
-
-@per_field
-def _k_digits(ctx):
-    "Each element sum_t c_t beta_t of k by its F_p-coordinates (c_0, ..., c_(e-1))."
-    return {
-        c: sum((ctx.from_int(a) * beta for a, beta in zip(c, ctx.k_basis)), ctx.zero)
-        for c in product(range(ctx.p), repeat=ctx.e)
-    }
 
 
 _RationalIndex = namedtuple(

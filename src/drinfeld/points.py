@@ -34,6 +34,7 @@ from .linalg import (
     enumerate_flags,
     normalize_functional,
     functional_ratio,
+    pivot_row,
     rational_kernel,
     reduce_vector,
     rref,
@@ -315,14 +316,12 @@ def _reciprocal_certificate(table, support, ctx):
     rows = []  # (pivot, row scaled to 1 there, with l(row) appended)
     for v in support:
         w = reduce_vector([*v, ctx.zero], rows)
-        pivot = next((i for i, a in enumerate(w[:-1]) if a), None)
-        if pivot is None:
+        if not any(w[:-1]):
             if table[v] * w[-1] != -ctx.one:
                 return False
         else:  # l(w) = l(v) - l(v - w)
             w[-1] = table[v].inverse() + w[-1]
-            inv = w[pivot].inverse()
-            rows.append((pivot, [inv * a for a in w]))
+            rows.append(pivot_row(w))
     return len(support) == nonzero_vectors(len(rows), ctx.q)
 
 

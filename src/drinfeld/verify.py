@@ -488,9 +488,14 @@ def check_action_separation(cfg, shared, ranges=None):
 def check_action_twist_lemma(cfg):
     for q, n_plus_1, ms in _THEOREM_RANGES:
         ctx = _ctx_for(q, n_plus_1, max(max(ms), 3))
+        vectors = Subspace.full(n_plus_1, ctx).vectors(ctx)
         for m in range(1, max(ms) + 1):
             for x in p_enumerate(ctx, n_plus_1, m):
-                if twist_span_dim(x) != n_plus_1 - p_classify(x).dim:
+                # p_classify reads the kernel off the twists as well, so the
+                # span is also held to the vectors l kills, counted one by one
+                span = twist_span_dim(x)
+                killed = sum(not apply_functional(x.coords, v) for v in vectors)
+                if span != n_plus_1 - p_classify(x).dim or killed != ctx.q ** (n_plus_1 - span):
                     return False, f"twist span lemma failed at {x!r}"
     return True, ""
 

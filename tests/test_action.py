@@ -56,17 +56,26 @@ def test_pgl_orders(ctx64, ctx729):
 
 def _pgl_by_rank(n_plus_1, ctx):
     """The oracle: every matrix with leading entry 1, in row-major
-    lexicographic order, kept when its rref has full rank."""
-    from itertools import product
+    lexicographic order, kept when its Leibniz determinant, the signed sum
+    over permutations, is nonzero.  No echelon form is involved."""
+    from itertools import permutations, product
 
-    from drinfeld.linalg import rref
-
+    terms = []
+    for perm in permutations(range(n_plus_1)):
+        odd = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :]) % 2
+        terms.append((perm, odd))
     out = []
     for flat in product(ctx.k_elements, repeat=n_plus_1 * n_plus_1):
         if next((a for a in flat if a), None) != ctx.one:
             continue
         rows = tuple(flat[i * n_plus_1 : (i + 1) * n_plus_1] for i in range(n_plus_1))
-        if rref(rows)[1] == n_plus_1:
+        det = ctx.zero
+        for perm, odd in terms:
+            term = ctx.one
+            for row, col in zip(rows, perm):
+                term = term * row[col]
+            det = det - term if odd else det + term
+        if det:
             out.append(rows)
     return out
 

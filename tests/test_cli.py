@@ -520,6 +520,14 @@ def test_options_a_command_does_not_read_are_rejected():
         assert proc.returncode == 2 and not proc.stdout, argv
 
 
+def test_count_rejects_dot_format():
+    # count has no DOT export: a text table under --format dot would be a
+    # plausible but wrong answer
+    proc = run_cli(["count", "--variety", "P", "--n", "1", "--format", "dot"])
+    assert proc.returncode == 2 and not proc.stdout
+    assert b"--format" in proc.stderr
+
+
 def test_verify_option_prefix_is_not_an_abbreviation():
     # with abbreviations allowed, --p would be read as --perturbations
     proc = run_cli(["verify", "--suites", "field", "--max-n", "1", "--p", "3"])

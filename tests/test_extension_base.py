@@ -55,26 +55,33 @@ def test_subspace_enumeration_over_gf4(ctx4):
 
 
 def test_rational_kernel_over_gf4_bruteforce(ctx4):
-    """Against brute force over k = GF(4) and over k = GF(8) inside GF(2^6),
-    whose F_p-basis of k is 1, a, a^2 for a generator a of k^x."""
+    """Against brute force over k = GF(4), over k = GF(8) inside GF(2^6), and
+    over k = GF(4) inside GF(2^6), whose k_3 holds an a of degree 3 over k:
+    (1, a, a) has three twists but rank 2.  The coordinates include zeros,
+    unnormalized tuples and the zero functional."""
     import random
 
     rng = random.Random(3)
     ctx8 = context_for(2, 3, 2, [1, 2])
+    ctx43 = context_for(2, 2, 3, [3])
+    a = next(x for x in ctx43.subfield_elements(3) if not ctx43.in_subfield(x, 1))
+    cases = [(ctx43, (ctx43.one, a, a)), (ctx43, (a, ctx43.zero, a * a, a))]
     for ctx, n_plus_1 in ((ctx4, 2), (ctx4, 3), (ctx8, 2), (ctx8, 3)):
         els = ctx.subfield_elements(2)
+        cases.append((ctx, (ctx.zero,) * n_plus_1))
         for _ in range(120):
-            coords = tuple(rng.choice(els) for _ in range(n_plus_1))
-            if not any(coords):
-                continue
-            K = rational_kernel(coords, ctx)
-            solutions = [
-                v
-                for v in product(ctx.k_elements, repeat=n_plus_1)
-                if not apply_functional(coords, v)
-            ]
-            assert K == Subspace.span(n_plus_1, [v for v in solutions if any(v)])
-            assert len(solutions) == ctx.q**K.dim
+            cases.append((ctx, tuple(rng.choice((ctx.zero, *els)) for _ in range(n_plus_1))))
+    for ctx, coords in cases:
+        K = rational_kernel(coords, ctx)
+        n_plus_1 = len(coords)
+        solutions = [
+            v
+            for v in product(ctx.k_elements, repeat=n_plus_1)
+            if not apply_functional(coords, v)
+        ]
+        assert K == Subspace.span(n_plus_1, [v for v in solutions if any(v)])
+        assert len(solutions) == ctx.q**K.dim
+    assert rational_kernel((ctx43.one, a, a), ctx43).dim == 1
 
 
 def test_point_totals_over_gf4(ctx4):

@@ -153,57 +153,6 @@ def test_field_laws_on_random_triples(ctx729):
     run()
 
 
-def _span_mod_p(vectors, p, ncols):
-    "Every F_p-combination of the vectors, by enumeration."
-    from itertools import product
-
-    return {
-        tuple(sum(c * v[i] for c, v in zip(combo, vectors)) % p for i in range(ncols))
-        for combo in product(range(p), repeat=len(vectors))
-    }
-
-
-def test_int_elimination_mod_p_against_enumeration():
-    # slow oracle for the one mod-p Gauss-Jordan: the kernel and the row
-    # space are found by running through all of F_p^ncols
-    import random
-    from itertools import product
-
-    from drinfeld.field import _int_rref_mod_p
-
-    rng = random.Random(7)
-    for p in (2, 3, 5):
-        for trial in range(12):
-            ncols = rng.randint(1, 6)
-            # every fourth matrix has more rows than columns
-            nrows = ncols + 2 if trial % 4 == 0 else rng.randint(1, ncols)
-            rows = [[rng.randrange(-p, 3 * p) for _ in range(ncols)] for _ in range(nrows)]
-            if trial % 3 == 1:
-                rows.append([0] * ncols)
-            if trial % 3 == 2 and nrows > 1:
-                # rank-deficient: a multiple of one row plus another
-                rows.append([3 * a + b for a, b in zip(rows[0], rows[1])])
-            rng.shuffle(rows)
-            space = list(product(range(p), repeat=ncols))
-            killed = [
-                v for v in space
-                if all(sum(a * b for a, b in zip(r, v)) % p == 0 for r in rows)
-            ]
-            ech, pivots = _int_rref_mod_p(rows, p)
-            assert p ** (ncols - len(ech)) == len(killed)
-            assert len(ech) == len(pivots)
-            for r, c in zip(ech, pivots):
-                assert all(0 <= a < p for a in r)
-                assert [row[c] for row in ech] == [int(row is r) for row in ech]
-            # the row space is the annihilator of the kernel
-            row_space = {
-                v for v in space
-                if all(sum(a * b for a, b in zip(k, v)) % p == 0 for k in killed)
-            }
-            assert _span_mod_p(ech, p, ncols) == row_space
-    assert _int_rref_mod_p([], 3) == ([], [])
-
-
 # --- polynomial arithmetic: the oracle for the tables -------------------------
 #
 # Plain coefficient-tuple arithmetic over F_p (low degree first), written

@@ -76,6 +76,31 @@ def test_rref_idempotent(ctx64, data):
     assert ech == again and rank == rank2
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_rref_is_reduced_echelon_with_the_same_span(ctx64, ctx729, data):
+    # over k = GF(2) and GF(3), checked without reduce_vector: the shape entry
+    # by entry, and the k-spans of input and output by enumeration
+    ctx = data.draw(st.sampled_from((ctx64, ctx729)))
+    n = data.draw(st.integers(1, 4))
+    digits = st.lists(st.integers(0, ctx.q - 1), min_size=n, max_size=n)
+    mat = [vecs(ctx, *r) for r in data.draw(st.lists(digits, min_size=1, max_size=5))]
+    ech, rank = rref(mat)
+    assert rank == len(ech) and all(any(r) for r in ech)
+    pivots = [next(i for i, a in enumerate(r) if a) for r in ech]
+    assert pivots == sorted(set(pivots))
+    for i, p in enumerate(pivots):
+        assert [r[p] for r in ech] == [ctx.one if j == i else ctx.zero for j in range(rank)]
+
+    def span(rows):
+        return {
+            tuple(sum((c * r[i] for c, r in zip(combo, rows)), ctx.zero) for i in range(n))
+            for combo in product(ctx.k_elements, repeat=len(rows))
+        }
+
+    assert span(ech) == span(mat)
+
+
 # --- rational kernels -------------------------------------------------------
 
 
@@ -131,22 +156,24 @@ def test_kernel_check_catches_a_kernel_too_small(monkeypatch):
     assert not ok and detail.startswith("kernel dimension inconsistent")
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_kernel_matches_bruteforce(ctx64, data):
-    els = list(ctx64.subfield_elements(2))
-    n = data.draw(st.integers(2, 3))
+    # over k = GF(2) and k = GF(8), the coordinates in any k_m: zeros,
+    # unnormalized tuples and the zero functional are all drawn
+    ctx = data.draw(st.sampled_from((ctx64, context_for(2, 3, 2, [1, 2]))))
+    m = data.draw(st.sampled_from([m for m in (1, 2, 3, 6) if ctx.D % (m * ctx.e) == 0]))
+    els = list(ctx.subfield_elements(m))
+    n = data.draw(st.integers(1, 3))
     coords = tuple(data.draw(st.sampled_from(els)) for _ in range(n))
-    if not any(coords):
-        return
-    K = rational_kernel(coords, ctx64)
+    K = rational_kernel(coords, ctx)
     solutions = [
         v
-        for v in product(ctx64.k_elements, repeat=n)
+        for v in product(ctx.k_elements, repeat=n)
         if not apply_functional(coords, v)
     ]
     assert K == Subspace.span(n, [v for v in solutions if any(v)])
-    assert len(solutions) == 2**K.dim
+    assert len(solutions) == ctx.q**K.dim
 
 
 # --- enumeration ------------------------------------------------------------
