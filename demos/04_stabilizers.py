@@ -1,10 +1,12 @@
 """Stabilizers two ways: brute force against the structure theory.
 
 Brute force acts with all of PGL(V)(k) and keeps what fixes the point.
-The prediction never acts: it demands the stratum data stay invariant and
-each induced diagonal block scale the twists of a dense quotient point by
-Galois-conjugate eigenvalues from some k_d.  The two agree everywhere; the
-eigenvalue route also names the witnessing divisor d.
+The prediction never acts and never enumerates the group: it builds the
+stabilizer from the point's stratum flag, as the Levi part times the
+unipotent radical of the flag's parabolic, each dense quotient's block
+multiplication by a scalar of its multiplier field k_f.  The two agree
+everywhere; the eigenvalue route of the dense fixpoint check also names
+the witnessing divisor d.
 """
 
 from drinfeld import (

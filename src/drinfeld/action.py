@@ -3,13 +3,19 @@
 All three point kinds carry right actions: covectors pull back along g,
 reciprocal maps precompose with g, families move by
 (family . g)_W = l_{g(W)} o g|_W.  Stabilizers are computed twice and
-compared: once by sheer brute force over the whole group, and once through
-the block-triangular description, whose diagonal blocks act as Galois-twisted
-scalars on the twist span of a dense quotient point (fixpoint_check_omega).
+compared: once by sheer brute force over the whole group, and once built
+from the point's stratum flag, as the Levi part times the unipotent radical
+of the flag's parabolic in the basis running down the flag's chain: any
+GL block on a free quotient, and on a dense quotient the blocks of
+multiplication by the multiplier field of the span of the point's values,
+which the dense fixpoint check (fixpoint_check_omega) characterizes.  The
+built route never enumerates the group, so its cost grows with |Stab(x)|;
+the closed form of its order, counts.stabilizer_order, bounds it before it
+is built and checks it after.
 
 Brute force asks fixes(x, g) of every g, which answers act(x, g) == x
-without building the moved point and stops at the first mismatch.  Both
-routes first read g's columns, the images of V's basis, in a table of the
+without building the moved point and stops at the first mismatch.  It
+first reads g's columns, the images of V's basis, in a table of the
 point's values on V's vectors (l, 1/r or l_V), which for most points
 rejects most elements at once.  What an element that passes is asked
 about other lines is read from its line row: for each line j of V, the id
@@ -18,16 +24,18 @@ found from the matrix on first read and kept on the element.  Points turn
 their values into logs once, so each test is linalg.logs_proportional over
 integers, and g(W) = W is read off the images of W's echelon rows.  The
 group is enumerated a row at a time, each candidate row reduced against the
-rows above it by linalg.reduce_vector.  The brute-force subgroup check and
-the normal p-core grow one product closure of line permutations, _closure;
-the unipotent radical of a flag's parabolic is built from the flag as
-I + N, with no group enumeration.  act, apply, compose and inverse stay on
-matrices as the oracle the tests compare with.
+rows above it by linalg.reduce_vector, and so is each GL block of a built
+stabilizer.  The brute-force subgroup check and the normal p-core grow one
+product closure of line permutations, _closure; the unipotent radical of a
+flag's parabolic is the built route with the identity as its Levi part.
+act, apply, compose and inverse stay on matrices as the oracle the tests
+compare with.
 """
 
 import math
+from itertools import product
 
-from .counts import check_group, check_radical, pgl_order
+from .counts import check_group, check_radical, check_stabilizer, pgl_order, stabilizer_order
 from .errors import DefectSignal, InvariantViolation
 from .field import per_field
 from .linalg import (
@@ -40,7 +48,6 @@ from .linalg import (
     normalize_functional,
     functional_ratio,
     pivot_row,
-    quotient_functional,
     rational_kernel,
     reduce_vector,
     rref,
@@ -49,7 +56,6 @@ from .points import (
     BPoint,
     PPoint,
     QPoint,
-    _quotient_projection,
     canonical_vectors,
     b_classify,
     p_classify,
@@ -184,18 +190,26 @@ def _line_pairs(ctx, n_plus_1):
 
 @per_field
 def _enumerate_pgl_cached(ctx, n_plus_1):
-    """PGL(n+1)(k) built a row at a time, depth first: the first row a
-    normalized vector, each later one a nonzero vector kept when it reduces
-    to a nonzero vector against the echelon rows of the rows above it.  Each
-    row runs in vec_key order, so the matrices come out in sort_key order."""
+    """PGL(n+1)(k) grown by _invertible, the first row a normalized vector.
+    Each row runs in vec_key order, so the matrices come out in sort_key order."""
     check_group(n_plus_1, ctx.q)
     vectors = canonical_vectors(n_plus_1, ctx)
     heads = [v for v in vectors if next(a for a in v if a) == ctx.one]
+    out = tuple(GroupElement(ctx, rows) for rows in _invertible(vectors, heads, n_plus_1))
+    assert len(out) == pgl_order(n_plus_1, ctx.q)
+    return out
+
+
+def _invertible(vectors, heads, d):
+    """The invertible d x d matrices, as lists of rows, with the first row
+    among heads and the others among vectors: built a row at a time, depth
+    first, each later row kept when it reduces to a nonzero vector against
+    the echelon rows of the rows above it."""
     out = []
 
     def grow(rows, echelon):
-        if len(rows) == n_plus_1:
-            out.append(GroupElement(ctx, rows))
+        if len(rows) == d:
+            out.append(rows)
             return
         for v in vectors if rows else heads:
             new = pivot_row(reduce_vector(v, echelon))
@@ -203,8 +217,7 @@ def _enumerate_pgl_cached(ctx, n_plus_1):
                 grow(rows + [v], echelon + [new])
 
     grow([], [])
-    assert len(out) == pgl_order(n_plus_1, ctx.q)
-    return tuple(out)
+    return out
 
 
 def enumerate_pgl(n_plus_1, ctx):
@@ -428,7 +441,9 @@ class _DenseCovector:
     Built once: the density check, the twists l^(F^t) for t < s, and the
     divisors d of s whose d-step twist span is closed (test (i)).
     witness(cols) runs test (ii) for one g, given by the images of the
-    basis vectors.
+    basis vectors.  The largest divisor is the degree f of the multiplier
+    field k_f of the k-span of l's entries, which the closed form of a built
+    stabilizer reads: d passes test (i) exactly when d divides f.
     """
 
     __slots__ = ("ctx", "twists", "divisors")
@@ -473,102 +488,93 @@ class _DenseCovector:
         return next((d for d in self.divisors if ctx.in_subfield(lam, d)), None)
 
 
-class _QuotientBlock:
-    """Precomputed data for inducing a group element on big/small and testing
-    whether the induced map fixes the attached dense quotient point.
+def stabilizer_predicted(x, group=None):
+    """Stab(x) built from its stratum flag: the Levi part times the unipotent
+    radical of the flag's parabolic, in the basis running down the flag's
+    chain (_ChainBasis.elements).
 
-    coords is a functional on big's coordinate space vanishing on small.
-    Built once per point: the lines of big's echelon rows that span a
-    complement of small, the projection of big's lines onto the complement
-    coordinates, and the _DenseCovector of the induced quotient covector.
-    Only call passes(g) for g leaving big (and small) invariant.
+    A free level takes any block of GL(d, q): V' for P, V/V' for Q.  A dense
+    level takes, for every mu with mu * S inside S, S the k-span of x's values
+    a_i on the level's basis, the block of multiplication by mu on S: each
+    level for B, V/V' for P, V' for Q (_dense_blocks).  Those mu are k_f^x,
+    k_f the multiplier field of S.  The order in closed form,
+    counts.stabilizer_order, with f read off the twist spans of the dense
+    check (_DenseCovector), is held against counts.MAX_GROUP before anything
+    is built, and against the size of the built set after.
+
+    group is accepted, for callers that pass what brute force tests, and not
+    read: the route never enumerates PGL(V)(k).
     """
-
-    __slots__ = ("basis", "to_quotient", "dense")
-
-    def __init__(self, big, small, coords, ctx):
-        small_c, free, by_coordinate = _quotient_projection(big, small, ctx)
-        index = _subspace_order(ctx, big.n_plus_1)
-        self.basis = [index.line_id[big.rows[i]] for i in free]
-        self.to_quotient = {
-            j: tuple(apply_functional(r, c) for r in zip(*by_coordinate))
-            for j, c in index.line_coords[index.subspace_id[big]].items()
-        }
-        _, lbar = quotient_functional(coords, small_c, ctx)
-        self.dense = _DenseCovector(lbar, ctx)
-
-    def induced_columns(self, g):
-        "Images of the complement basis under g, in complement coordinates."
-        antilog = g.ctx._antilog
-        return [
-            tuple(antilog[mu] * a for a in self.to_quotient[image])
-            for image, mu in map(g.row().__getitem__, self.basis)
-        ]
-
-    def passes(self, g):
-        return self.dense.witness(self.induced_columns(g)) is not None
-
-
-def _predicted_blocks(x):
-    """The invariance constraints of the block-triangular stabilizer description,
-    (line of r, lines of W) for each echelon row r of each stratum flag member W,
-    and its blocks on the flag's chain (P the top one, Q the bottom one, B all)."""
     ctx = x.ctx
     flag = stratum_flag(x)
-    chain = flag.chain(ctx)
+    dims, chain = _quotient_dims(flag), flag.chain(ctx)
+    free = _free_levels(x, len(dims))
+    # k lies in every k_f, so f_t = 1 bounds the order from below: a request
+    # past the bound is refused before the chain basis is made
+    check_stabilizer([(d, None if fr else 1) for d, fr in zip(dims, free)], ctx.q)
+    basis = _chain_basis(ctx, flag)
+    values = [None if fr else _level_values(x, C, rows) for fr, C, rows in zip(free, chain, basis.levels)]
+    levels = [(d, None if a is None else _DenseCovector(a, ctx).divisors[-1]) for d, a in zip(dims, values)]
+    check_stabilizer(levels, ctx.q)
+    stab = basis.elements([
+        _gl_blocks(ctx, d) if a is None else _dense_blocks(a, ctx)
+        for (d, _), a in zip(levels, values)
+    ])
+    order = stabilizer_order(levels, ctx.q)
+    if len(stab) != order:
+        raise DefectSignal(f"built {len(stab)} stabilizing elements, the closed form gives {order}")
+    return stab
+
+
+def _quotient_dims(flag):
+    "The dimensions of the quotients C_t / C_(t+1) of flag's chain, top first."
+    dims = [flag.n_plus_1] + [m.dim for m in reversed(flag.members)] + [0]
+    return [a - b for a, b in zip(dims, dims[1:])]
+
+
+def _free_levels(x, r):
+    """Whether each of the r levels of x's stratum chain is free, any block
+    of GL(d, q) on it fixing x: V' for P, V/V' for Q, none for B."""
     if isinstance(x, PPoint):
-        blocks = [_QuotientBlock(chain[0], chain[1], x.coords, ctx)]
-    elif isinstance(x, QPoint):
-        sub = chain[-2]
-        # the covector on the support span, recovered from 1/r on its basis
-        inv_coords = normalize_functional(
-            tuple(x.table[r].inverse() for r in sub.rows)
-        )
-        blocks = [_QuotientBlock(sub, chain[-1], inv_coords, ctx)]
-    else:
-        blocks = [
-            _QuotientBlock(chain[t], chain[t + 1], x.family[chain[t]], ctx)
-            for t in range(len(chain) - 1)
-        ]
-    index = _subspace_order(ctx, x.n_plus_1)
-    invariant = [
-        (index.line_id[r], index.line_coords[index.subspace_id[m]])
-        for m in flag.members
-        for r in m.rows
-    ]
-    return invariant, blocks
+        return [t > 0 for t in range(r)]
+    if isinstance(x, QPoint):
+        return [t < r - 1 for t in range(r)]
+    return [False] * r
 
 
-def stabilizer_predicted(x, group=None):
-    """Membership test for Stab(x) through the block-triangular description.
+def _level_values(x, C, rows):
+    """x's values on rows, the basis of a dense level of its stratum chain
+    inside the chain member C: l for P, 1/r for Q, l_C for B."""
+    if isinstance(x, PPoint):
+        return [apply_functional(x.coords, b) for b in rows]
+    if isinstance(x, QPoint):
+        return [x.table[b].inverse() for b in rows]
+    line_id = _subspace_order(x.ctx, x.n_plus_1).line_id
+    return [x.on_lines[C][line_id[b]] for b in rows]
 
-    P: g preserves the kernel V' and the induced map on V/V' passes the
-    dense fixpoint check against the induced covector.  Q: g preserves the
-    support span V' and g restricted to V' passes the check against 1/r.
-    B: g fixes the stratum flag and every induced diagonal block passes the
-    check against its quotient covector.
 
-    Every element the description keeps passes _column_test(x), f o g =
-    mu * f on V's basis for f = l, 1/r or l_V: g fixes V' (P, Q) or the
-    flag (B), and the check of the block on V / V' (Q: on V'; B: the top
-    block) holds at its first step, t = 0.  That is read on g's columns
-    first, and only the elements it keeps get line rows.
-    """
-    if group is None:
-        group = enumerate_pgl(x.n_plus_1, x.ctx)
-    invariant, blocks = _predicted_blocks(x)
-    on_columns = _column_test(x)
-    out = []
-    for g in group:
-        if not on_columns(g):
-            continue
-        # g is invertible, so g(W) inside W, read on W's rows, means g(W) = W
-        row = g.row()
-        if not all(row[j][0] in inside for j, inside in invariant):
-            continue
-        if all(block.passes(g) for block in blocks):
-            out.append(g)
-    return sorted(out, key=GroupElement.sort_key)
+@per_field
+def _gl_blocks(ctx, d):
+    "GL(d, q) by rows, grown as PGL is but from any nonzero first row."
+    vectors = canonical_vectors(d, ctx)
+    return tuple(_invertible(vectors, vectors, d))
+
+
+def _dense_blocks(values, ctx):
+    """The blocks of a dense level whose basis x takes to values: for each mu
+    with every mu * a_i in S, the k-span of the a_i, the matrix whose column i
+    holds the k-coordinates of mu * a_i.  S is tabulated once, q^s entries
+    from value to coordinates; as mu * a_0 lies in S, the candidates are the
+    s / a_0 for s in S \\ 0."""
+    span = {apply_functional(values, c): c for c in product(ctx.k_elements, repeat=len(values))}
+    inv, blocks = values[0].inverse(), []
+    for s in span:
+        if s:
+            mu = s * inv
+            columns = [span.get(mu * a) for a in values]
+            if None not in columns:
+                blocks.append(list(zip(*columns)))
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -591,25 +597,88 @@ def stratum_flag(x):
 def unipotent_radical_k(flag, ctx):
     """The k-points of the unipotent radical of the parabolic fixing flag.
 
-    In a basis running down the chain V = C_0 > C_1 > ... > 0, the rows of
-    C_t off C_(t+1)'s pivots, top level first, the radical is I + N for every
-    N mapping each level only into deeper levels: q^e elements, e =
-    sum_{s<t} d_s d_t, each conjugated back to the standard basis.  I + N
-    has identity diagonal blocks, so distinct N are distinct in PGL.
+    In the basis running down the flag's chain (_ChainBasis) it is I + N
+    for every N mapping each level only into deeper levels: q^e elements,
+    e = sum_{s<t} d_s d_t, the built stabilizer with the identity as its
+    Levi part.  I + N has identity diagonal blocks, so distinct N are
+    distinct in PGL.
     """
-    chain = flag.chain(ctx)
-    levels = [complement(small, big).rows for big, small in zip(chain, chain[1:])]
-    check_radical([len(rows) for rows in levels], ctx.q)
-    depth = [t for t, rows in enumerate(levels) for _ in rows]
-    basis = GroupElement(ctx, list(zip(*(r for rows in levels for r in rows))))
-    columns, dual = list(zip(*basis.matrix)), basis.inverse().matrix
-    mats = [Subspace.full(flag.n_plus_1, ctx).rows]
-    for i, j in [(i, j) for i, s in enumerate(depth) for j, t in enumerate(depth) if s > t]:
-        # the N sending basis vector j to basis vector i, in the standard basis
-        unit = [[a * b for b in dual[j]] for a in columns[i]]
-        mats = [[[a + c * e for a, e in zip(r, u)] for r, u in zip(m, unit)]
-                for m in mats for c in ctx.k_elements]
-    return sorted((GroupElement(ctx, m) for m in mats), key=GroupElement.sort_key)
+    dims = _quotient_dims(flag)
+    check_radical(dims, ctx.q)
+    return _chain_basis(ctx, flag).elements([[Subspace.full(d, ctx).rows] for d in dims])
+
+
+@per_field
+def _chain_basis(ctx, flag):
+    "flag's _ChainBasis, made once per field and flag."
+    return _ChainBasis(flag, ctx)
+
+
+class _ChainBasis:
+    """The basis running down a flag's chain V = C_0 > C_1 > ... > 0: level t
+    holds the rows of C_t off C_(t+1)'s pivots, top level first, and C_t is
+    spanned by levels t and deeper.  g fixes the flag exactly when its matrix
+    in this basis maps each level into itself and the deeper ones.  radical
+    holds, flat by rows in the standard basis, the maps sending one basis
+    vector to one of a deeper level and the others to 0."""
+
+    __slots__ = ("ctx", "levels", "columns", "dual", "radical")
+
+    def __init__(self, flag, ctx):
+        chain, n = flag.chain(ctx), flag.n_plus_1
+        self.ctx = ctx
+        self.levels = [complement(small, big).rows for big, small in zip(chain, chain[1:])]
+        self.columns = [b for rows in self.levels for b in rows]
+        # the dual basis: the rows of the inverse of the matrix with these columns
+        ech, _ = rref(r + e for r, e in zip(zip(*self.columns), Subspace.full(n, ctx).rows))
+        self.dual = [r[n:] for r in ech]
+        depth = [t for t, rows in enumerate(self.levels) for _ in rows]
+        self.radical = [
+            [a * b for a in self.columns[i] for b in self.dual[j]]
+            for i in range(n) for j in range(n) if depth[i] > depth[j]
+        ]
+
+    def elements(self, blocks):
+        """Every L + N, as distinct GroupElements in sort_key order: L block
+        diagonal, its block on level t any of blocks[t] (matrices by rows in
+        the level's basis), and N any map of each level into the deeper ones.
+        L + N = L (I + L^-1 N) runs over L times the radical.  The blocks of
+        the top level are taken 1 at their first nonzero entry, so that L
+        meets each class of k^x once, and each L is carried to the standard
+        basis by linearity; N grows one radical entry at a time, c times its
+        map for every c in k."""
+        ctx, n = self.ctx, len(self.columns)
+        mats, above = [[ctx.zero] * (n * n)], 0
+        top = [M for M in blocks[0] if next(a for row in M for a in row if a) == ctx.one]
+        for rows, choices in zip(self.levels, [top] + blocks[1:]):
+            parts = [self._carried(M, above) for M in choices]
+            mats = [_add(m, part) for m in mats for part in parts]
+            above += len(rows)
+        for unit in self.radical:
+            steps = [[c * u for u in unit] for c in ctx.k_elements if c]
+            mats += [_add(m, step) for m in mats for step in steps]
+        stab = {GroupElement(ctx, [m[r * n:(r + 1) * n] for r in range(n)]) for m in mats}
+        return sorted(stab, key=GroupElement.sort_key)
+
+    def _carried(self, block, above):
+        """The map that is block on the level starting at basis vector above,
+        in the level's basis, and 0 on the others: sum_c image_c (x) dual_c,
+        flat by rows in the standard basis, image_c the image of basis vector
+        above + c."""
+        n, zero = len(self.columns), self.ctx.zero
+        out = [zero] * (n * n)
+        for c, dual in enumerate(self.dual[above:above + len(block)]):
+            image = [zero] * n
+            for a, col in zip((row[c] for row in block), self.columns[above:]):
+                if a:
+                    image = [u + a * v for u, v in zip(image, col)]
+            out = _add(out, [u * v for u in image for v in dual])
+        return out
+
+
+def _add(u, v):
+    "The entrywise sum of two flat matrices."
+    return [a + b for a, b in zip(u, v)]
 
 
 def is_unipotent(g):

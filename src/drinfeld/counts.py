@@ -1,11 +1,13 @@
 """How many of anything there are, and how many is too many.
 
-Closed forms for k^(n+1) over k = GF(q) and for the points of the three
-varieties over k_m, and the desk-scale bounds that refuse a request too large
-to build.  Each bound is compared with a free lower bound before its exact
-count is formed: k^(n+1) has at least 2^(n+1) - 1 nonzero vectors, lines,
-subspaces and flags, and each variety at least as many points over k_m, so an
-n+1 past a bound's bit length is refused at once; |PGL(n+1, q)| >= 2^(n(n+1)).
+Closed forms for k^(n+1) over k = GF(q), for the points of the three
+varieties over k_m and for the orders of their stabilizers, and the
+desk-scale bounds that refuse a request too large to build.  Each bound is
+compared with a free lower bound before its exact count is formed: k^(n+1)
+has at least 2^(n+1) - 1 nonzero vectors, lines, subspaces and flags, and
+each variety at least as many points over k_m, so an n+1 past a bound's bit
+length is refused at once; |PGL(n+1, q)| >= 2^(n(n+1)), and a stabilizer has
+at least as many elements as its unipotent ones.
 """
 
 import math
@@ -28,9 +30,14 @@ def gaussian_binomial(n, d, q):
     return num // den
 
 
+def gl_order(d, q):
+    "Product formula for |GL(d, q)|: the ordered bases of k^d."
+    return math.prod(q**d - q**i for i in range(d))
+
+
 def pgl_order(n_plus_1, q):
-    "Product formula for |PGL(n+1, q)| = |GL(n+1, q)| / (q - 1)."
-    return math.prod(q**n_plus_1 - q**i for i in range(n_plus_1)) // (q - 1)
+    "|PGL(n+1, q)| = |GL(n+1, q)| / (q - 1)."
+    return gl_order(n_plus_1, q) // (q - 1)
 
 
 def nonzero_vectors(n_plus_1, q):
@@ -109,9 +116,50 @@ def check_group(n_plus_1, q):
         raise ValueError(f"|PGL({n_plus_1}, {q})| exceeds the desk-scale bound {MAX_GROUP}")
 
 
+def _radical_exponent(dims):
+    "e = sum_{s<t} d_s d_t over the dimensions of a flag chain's quotients."
+    return sum(a * b for s, a in enumerate(dims) for b in dims[s + 1:])
+
+
 def check_radical(dims, q):
     """ValueError, before a flag's unipotent radical is built, if its q^e elements,
     e = sum_{s<t} d_s d_t over the dimensions of its chain's quotients, are too many."""
-    e = sum(a * b for s, a in enumerate(dims) for b in dims[s + 1:])
+    e = _radical_exponent(dims)
     if e > MAX_GROUP.bit_length() or q**e > MAX_GROUP:
         raise ValueError(f"a radical of {q}^{e} elements exceeds the desk-scale bound {MAX_GROUP}")
+
+
+def stabilizer_order(levels, q):
+    """|Stab(x)| in PGL(V)(k) for a point whose stratum flag's chain has the
+    quotients levels, (d_t, f_t) top first: f_t the degree over k of the
+    multiplier field of a dense quotient's values, None on a free quotient.
+
+    Stab(x) is the Levi part times the radical, q^N elements with
+    N = sum_{s<t} d_s d_t.  In GL the Levi part is prod_free GL(d_t, q) times
+    prod_dense k_(f_t)^x, and PGL divides out the one k^x of the scalars:
+    q^N prod_free |GL(d_t, q)| prod_dense (q^(f_t) - 1) / (q - 1).
+    """
+    dims = [d for d, _ in levels]
+    free = math.prod(gl_order(d, q) for d, f in levels if f is None)
+    dense = math.prod(q**f - 1 for _, f in levels if f is not None)
+    return q ** _radical_exponent(dims) * free * dense // (q - 1)
+
+
+def _unipotent_exponent(levels):
+    "N + sum_free d_t (d_t - 1), the exponent of q in stabilizer_unipotents."
+    return _radical_exponent([d for d, _ in levels]) + sum(d * (d - 1) for d, f in levels if f is None)
+
+
+def stabilizer_unipotents(levels, q):
+    """The unipotent elements of that Stab(x), q^N prod_free q^(d_t (d_t - 1)):
+    the radical times the unipotent elements of each GL(d_t, q) (Steinberg);
+    the k_(f_t)^x, of order prime to p, add none."""
+    return q ** _unipotent_exponent(levels)
+
+
+def check_stabilizer(levels, q):
+    """ValueError, before Stab(x) is built, if stabilizer_order(levels, q) is
+    too large; its unipotent elements, at least 2^(N + sum_free d_t (d_t - 1)),
+    give the free lower bound."""
+    if _unipotent_exponent(levels) > MAX_GROUP.bit_length() or stabilizer_order(levels, q) > MAX_GROUP:
+        raise ValueError(f"a stabilizer of more than {MAX_GROUP} elements exceeds the desk-scale bound")

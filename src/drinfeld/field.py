@@ -58,21 +58,44 @@ def _poly_divmod(num, den, p):
     return tuple(quot), _poly_trim(num)
 
 
-def _poly_is_irreducible(poly, p):
-    """Trial division by every monic polynomial of degree <= deg/2.
+def _poly_mulmod(a, b, f, p):
+    "a * b mod f over F_p, as coefficient tuples; f monic."
+    out = [0] * (len(a) + len(b))
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] = (out[i + j] + c * d) % p
+    return _poly_divmod(out, f, p)[1]
 
-    Feasible at desk scale; degree-1 polynomials are irreducible outright.
+
+def _poly_is_irreducible(poly, p):
+    """Ben-Or's test (FOCS 1981): a monic f of degree n is irreducible iff
+    gcd(x^(p^i) - x mod f, f) = 1 for every i <= n/2.  x^(p^i) - x is the
+    product of the monic irreducibles of degree dividing i, and a reducible f
+    has an irreducible factor of degree at most n/2.  x^(p^i) is the p-th
+    power of x^(p^(i-1)), by squaring and multiplying mod f.
     """
     deg = len(poly) - 1
     if deg < 1:
         return False
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
-        for tail in product(range(p), repeat=d):
-            den = tuple(tail) + (1,)
-            if not _poly_divmod(poly, den, p)[1]:
-                return False
+    if deg > 1 and not poly[0]:
+        # x divides f; this turns away the first p^(n-1) candidates of
+        # smallest_irreducible's scan at once
+        return False
+    power = (0, 1)  # x
+    for _ in range(deg // 2):
+        acc = power
+        for bit in bin(p)[3:]:
+            acc = _poly_mulmod(acc, acc, poly, p)
+            if bit == "1":
+                acc = _poly_mulmod(acc, power, poly, p)
+        power = acc
+        # gcd(x^(p^i) - x, f) by Euclid
+        a, b = poly, _poly_trim([(c - (i == 1)) % p for i, c in enumerate(power + (0, 0))])
+        while b:
+            a, b = b, _poly_divmod(a, b, p)[1]
+        if len(a) > 1:
+            return False
     return True
 
 

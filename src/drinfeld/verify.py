@@ -413,7 +413,7 @@ def _theorem_sweep(shared, ranges):
             entries = []
             for x in _all_points(ctx, n_plus_1, m):
                 bf = stabilizer_bruteforce(x, group)
-                pr = stabilizer_predicted(x, group)
+                pr = stabilizer_predicted(x)
                 if bf != pr and ok:
                     ok = False
                     detail = (

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import pytest
 
@@ -33,12 +34,22 @@ from drinfeld.action import (
     GroupElement,
     _check_subgroup,
     _column_test,
-    _predicted_blocks,
+    _DenseCovector,
     _unipotent_matrix_criterion,
     is_unipotent,
 )
-from drinfeld.errors import InvariantViolation
-from drinfeld.points import b_classify, enumerate_omega, flag_str, subspace_str, vector_str
+from drinfeld.counts import MAX_GROUP, stabilizer_order, stabilizer_unipotents
+from drinfeld.errors import DefectSignal, InvariantViolation
+from drinfeld.linalg import _subspace_order, apply_functional, normalize_functional, quotient_functional
+from drinfeld.points import (
+    QPoint,
+    _quotient_projection,
+    b_classify,
+    enumerate_omega,
+    flag_str,
+    subspace_str,
+    vector_str,
+)
 
 
 def vecs(ctx, *ints):
@@ -224,8 +235,91 @@ def test_fixes_agrees_with_acting(ctx64, ctx729):
                 assert fixes(x, g) == (act(x, g) == x)
 
 
+class _QuotientBlock:
+    """The oracle's block on big/small: the lines of big's echelon rows that
+    span a complement of small, the projection of big's lines onto the
+    complement coordinates, and the _DenseCovector of the induced quotient
+    covector.  passes(g) is asked only of g leaving big and small invariant."""
+
+    def __init__(self, big, small, coords, ctx):
+        small_c, free, by_coordinate = _quotient_projection(big, small, ctx)
+        index = _subspace_order(ctx, big.n_plus_1)
+        self.basis = [index.line_id[big.rows[i]] for i in free]
+        self.to_quotient = {
+            j: tuple(apply_functional(r, c) for r in zip(*by_coordinate))
+            for j, c in index.line_coords[index.subspace_id[big]].items()
+        }
+        _, lbar = quotient_functional(coords, small_c, ctx)
+        self.dense = _DenseCovector(lbar, ctx)
+
+    def induced_columns(self, g):
+        "Images of the complement basis under g, in complement coordinates."
+        antilog = g.ctx._antilog
+        return [
+            tuple(antilog[mu] * a for a in self.to_quotient[image])
+            for image, mu in map(g.row().__getitem__, self.basis)
+        ]
+
+    def passes(self, g):
+        return self.dense.witness(self.induced_columns(g)) is not None
+
+
+def _predicted_blocks(x):
+    """The invariance constraints of the block-triangular stabilizer description,
+    (line of r, lines of W) for each echelon row r of each stratum flag member W,
+    and its blocks on the flag's chain (P the top one, Q the bottom one, B all)."""
+    ctx = x.ctx
+    flag = stratum_flag(x)
+    chain = flag.chain(ctx)
+    if isinstance(x, PPoint):
+        blocks = [_QuotientBlock(chain[0], chain[1], x.coords, ctx)]
+    elif isinstance(x, QPoint):
+        sub = chain[-2]
+        # the covector on the support span, recovered from 1/r on its basis
+        inv_coords = normalize_functional(
+            tuple(x.table[r].inverse() for r in sub.rows)
+        )
+        blocks = [_QuotientBlock(sub, chain[-1], inv_coords, ctx)]
+    else:
+        blocks = [
+            _QuotientBlock(chain[t], chain[t + 1], x.family[chain[t]], ctx)
+            for t in range(len(chain) - 1)
+        ]
+    index = _subspace_order(ctx, x.n_plus_1)
+    invariant = [
+        (index.line_id[r], index.line_coords[index.subspace_id[m]])
+        for m in flag.members
+        for r in m.rows
+    ]
+    return invariant, blocks
+
+
+def _stabilizer_by_filter(x, group):
+    """The oracle for the built stabilizer: the block-triangular description
+    as a filter of the whole group.  P: g preserves the kernel V' and the
+    induced map on V/V' passes the dense fixpoint check against the induced
+    covector.  Q: g preserves the support span V' and g restricted to V'
+    passes the check against 1/r.  B: g fixes the stratum flag and every
+    induced diagonal block passes the check against its quotient covector.
+    The column test is read first, and only the elements it keeps get line
+    rows (test_column_test_keeps_what_the_description_keeps)."""
+    invariant, blocks = _predicted_blocks(x)
+    on_columns = _column_test(x)
+    out = []
+    for g in group:
+        if not on_columns(g):
+            continue
+        # g is invertible, so g(W) inside W, read on W's rows, means g(W) = W
+        row = g.row()
+        if not all(row[j][0] in inside for j, inside in invariant):
+            continue
+        if all(block.passes(g) for block in blocks):
+            out.append(g)
+    return sorted(out, key=GroupElement.sort_key)
+
+
 def test_column_test_keeps_what_the_description_keeps(ctx64, ctx729):
-    # the predicted route reads the column test first: every element that
+    # the filter oracle reads the column test first: every element that
     # fixes the stratum flag and passes every block check must pass it
     cases = [(ctx64, 3, m, "PQB") for m in (1, 2)] + [(ctx729, 2, m, "PQB") for m in (1, 2)]
     cases.append((ctx64, 3, 3, "P"))
@@ -242,6 +336,106 @@ def test_column_test_keeps_what_the_description_keeps(ctx64, ctx729):
                 assert on_columns(g) or not kept
 
 
+_KINDS = {"P": p_enumerate, "Q": q_enumerate, "B": b_enumerate}
+
+
+def test_stabilizer_theorem_small_sweep(ctx64, ctx729):
+    # three routes that share nothing past the point and the column test:
+    # built from the stratum flag, filtered by the block description, and
+    # brute force over fixes
+    gf4 = context_for(2, 2, 2, [1, 2])  # k = GF(4)
+    cases = [(ctx64, 2, m, "PQB") for m in (1, 2, 3)] + [(ctx729, 2, m, "PQB") for m in (1, 2)]
+    cases += [(ctx64, 3, m, "PQB") for m in (1, 2)] + [(gf4, 2, m, "PQB") for m in (1, 2)]
+    cases.append((ctx64, 3, 3, "P"))
+    for ctx, n_plus_1, m, kinds in cases:
+        group = enumerate_pgl(n_plus_1, ctx)
+        for x in (x for kind in kinds for x in _KINDS[kind](ctx, n_plus_1, m)):
+            built = stabilizer_predicted(x)
+            assert built == _stabilizer_by_filter(x, group) == stabilizer_bruteforce(x, group)
+
+
+def _levels_by_search(x):
+    """(d_t, f_t) of x's stratum chain, top level first, f_t None on a free
+    level and otherwise found by searching all of GF(p^D) for the mu with
+    mu * S inside S, S the k-span of the oracle's quotient covector."""
+    ctx = x.ctx
+    chain = stratum_flag(x).chain(ctx)
+    dims = [big.dim - small.dim for big, small in zip(chain, chain[1:])]
+    degrees = []
+    for block in _predicted_blocks(x)[1]:
+        values = block.dense.twists[0]
+        span = {apply_functional(values, c) for c in product(ctx.k_elements, repeat=len(values))}
+        units = sum(all(mu * a in span for a in values) for mu in ctx.elements() if mu)
+        f = round(math.log(units + 1, ctx.q))
+        assert units == ctx.q**f - 1
+        degrees.append(f)
+    if isinstance(x, PPoint):
+        degrees += [None] * (len(dims) - 1)
+    elif isinstance(x, QPoint):
+        degrees = [None] * (len(dims) - 1) + degrees
+    return list(zip(dims, degrees))
+
+
+def test_stabilizer_orders_in_closed_form(ctx64, ctx729):
+    # |Stab| = q^N prod_free |GL(d_t, q)| prod_dense (q^f_t - 1) / (q - 1), and
+    # q^N prod_free q^(d_t (d_t - 1)) unipotent elements, against brute force
+    gf4 = context_for(2, 2, 2, [1, 2])
+    cases = [(ctx64, 3, m) for m in (1, 2)] + [(ctx729, 2, m) for m in (1, 2)]
+    cases += [(gf4, 2, m) for m in (1, 2)]
+    for ctx, n_plus_1, m in cases:
+        group = enumerate_pgl(n_plus_1, ctx)
+        for x in (x for enum in _KINDS.values() for x in enum(ctx, n_plus_1, m)):
+            stab = stabilizer_bruteforce(x, group)
+            levels = _levels_by_search(x)
+            assert len(stab) == stabilizer_order(levels, ctx.q)
+            assert len(unipotent_elements(stab)) == stabilizer_unipotents(levels, ctx.q)
+
+
+def test_stabilizer_order_divides_by_q_minus_one_once(ctx729):
+    # a B point on a full flag of k^2 over GF(3): two dense blocks k^x, so
+    # (q - 1)^2 / (q - 1) Levi elements times the radical's q
+    x = next(x for x in b_enumerate(ctx729, 2, 1) if len(b_classify(x)) == 1)
+    assert len(stabilizer_predicted(x)) == 6 == stabilizer_order([(1, 1), (1, 1)], 3)
+
+
+def test_built_stabilizer_past_the_group_bound():
+    # PGL(5, 2) has 9,999,360 elements, past the bound; a P point with a
+    # two-dimensional kernel and GF(8) values on V/V' has 2^6 |GL(2, 2)| 7
+    ctx = context_for(2, 1, 5, [3])
+    with pytest.raises(ValueError, match="desk-scale"):
+        enumerate_pgl(5, ctx)
+    x = PPoint(ctx, enumerate_omega(3, ctx, 3)[0] + (ctx.zero, ctx.zero))
+    stab = stabilizer_predicted(x)
+    assert len(stab) == 2**6 * 6 * 7 == stabilizer_order([(3, 3), (2, None)], 2)
+    assert all(fixes(x, g) for g in stab)
+    _check_subgroup([g.permutation() for g in stab])
+
+
+def test_built_stabilizer_is_refused_by_its_order_before_it_is_built(monkeypatch):
+    # the rational P point of k^5 over GF(2): 2^4 |GL(4, 2)| = 322,560 elements;
+    # at n+1 = 100 the bound is passed by the bit length of the order alone
+    from drinfeld import action
+
+    ctx = context_for(2, 1, 5, [1])
+    assert stabilizer_order([(1, 1), (4, None)], 2) == 322_560 > MAX_GROUP
+    monkeypatch.setattr(action, "GroupElement", None)  # building one fails
+    monkeypatch.setattr(action, "_invertible", None)  # and so does growing GL(4, 2)
+    monkeypatch.setattr(action, "_chain_basis", None)  # and making the chain basis
+    for n_plus_1 in (5, 100):
+        x = PPoint(ctx, (ctx.one,) + (ctx.zero,) * (n_plus_1 - 1))
+        with pytest.raises(ValueError, match="stabilizer of more than"):
+            stabilizer_predicted(x)
+
+
+def test_built_stabilizer_of_the_wrong_size_is_a_defect(ctx64, monkeypatch):
+    from drinfeld import action
+
+    x = PPoint(ctx64, vecs(ctx64, 1, 0, 0))
+    monkeypatch.setattr(action, "stabilizer_order", lambda levels, q: stabilizer_order(levels, q) + 1)
+    with pytest.raises(DefectSignal, match="closed form"):
+        stabilizer_predicted(x)
+
+
 def test_rational_point_stabilizer_is_full_parabolic(ctx64):
     # the stabilizer of a rational covector point is the stabilizer of its
     # kernel hyperplane
@@ -253,24 +447,6 @@ def test_rational_point_stabilizer_is_full_parabolic(ctx64):
     ]
     assert stab == parabolic
     assert len(stab) == 24
-
-
-def test_stabilizer_theorem_small_sweep(ctx64, ctx729):
-    group2 = enumerate_pgl(2, ctx64)
-    for m in (1, 2, 3):
-        for x in (
-            p_enumerate(ctx64, 2, m)
-            + q_enumerate(ctx64, 2, m)
-            + b_enumerate(ctx64, 2, m)
-        ):
-            assert stabilizer_bruteforce(x, group2) == stabilizer_predicted(x, group2)
-    group3 = enumerate_pgl(2, ctx729)
-    for x in (
-        p_enumerate(ctx729, 2, 2)
-        + q_enumerate(ctx729, 2, 2)
-        + b_enumerate(ctx729, 2, 2)
-    ):
-        assert stabilizer_bruteforce(x, group3) == stabilizer_predicted(x, group3)
 
 
 def test_group_elements_of_two_fields_keep_their_own_images():
@@ -389,6 +565,7 @@ def test_radical_past_the_bound_is_refused_before_it_is_built(monkeypatch):
     rows = Subspace.full(3, ctx).rows
     flag = Flag(3, [Subspace.span(3, rows[2:]), Subspace.span(3, rows[1:])])
     monkeypatch.setattr(action, "GroupElement", None)  # building one fails
+    monkeypatch.setattr(action, "_chain_basis", None)  # and so does making the chain basis
     with pytest.raises(ValueError, match="radical of 67\\^3 elements"):
         unipotent_radical_k(flag, ctx)
 
@@ -521,7 +698,6 @@ def test_stabilizer_orders_factor_through_blocks(ctx64):
 
 def _strata_and_stabilizers(ctx, n_plus_1, m):
     "Sorted (kind, stratum key, predicted stabilizer) of every point over k_m."
-    group = enumerate_pgl(n_plus_1, ctx)
     out = []
     for kind, enum, classify, key in (
         ("P", p_enumerate, p_classify, subspace_str),
@@ -531,7 +707,7 @@ def _strata_and_stabilizers(ctx, n_plus_1, m):
         for x in enum(ctx, n_plus_1, m):
             members = sorted(
                 ";".join(vector_str(row, ctx) for row in g.matrix)
-                for g in stabilizer_predicted(x, group)
+                for g in stabilizer_predicted(x)
             )
             out.append((kind, key(classify(x), ctx), members))
     return sorted(out)

@@ -111,7 +111,7 @@ def test_stabilizer_theorem_over_gf4(ctx4):
             + b_enumerate(ctx4, 2, m)
         )
         for x in pts:
-            assert stabilizer_bruteforce(x, group) == stabilizer_predicted(x, group)
+            assert stabilizer_bruteforce(x, group) == stabilizer_predicted(x)
 
 
 def test_dense_point_stabilizer_is_nonsplit_torus(ctx4):

@@ -28,21 +28,40 @@ def test_degree_six_moduli():
 
 
 def test_modulus_minimality_by_enumeration():
-    # independent oracle: scan candidates in lex order, trial-divide
+    # independent oracle: scan candidates in lex order, trial-divide; the
+    # same modulus for every p^D <= 2^12
     from itertools import product
 
-    for p, deg in ((2, 4), (3, 3)):
-        got = smallest_irreducible(p, deg)
-        seen = None
-        for tail in product(range(p), repeat=deg):
-            poly = tuple(tail) + (1,)
-            if all(
-                any(_poly_eval_chain(poly, den, p))
-                for den in _monic_up_to(p, deg // 2)
-            ):
-                seen = poly
-                break
-        assert got == seen
+    from drinfeld.field import is_prime
+
+    for p in filter(is_prime, range(2, 2**12 + 1)):
+        D = 1
+        while p**D <= 2**12:
+            want = next(
+                poly for poly in (tail + (1,) for tail in product(range(p), repeat=D))
+                if _irreducible_by_trial_division(poly, p)
+            )
+            assert smallest_irreducible(p, D) == want
+            D += 1
+
+
+def _irreducible_by_trial_division(poly, p):
+    "The oracle of Ben-Or's test: no monic polynomial of degree 1 to deg/2 divides poly."
+    deg = len(poly) - 1
+    return deg >= 1 and all(any(_poly_eval_chain(poly, den, p)) for den in _monic_up_to(p, deg // 2))
+
+
+def test_ben_or_agrees_with_trial_division():
+    # every monic polynomial of degree 1..8 over F_2, 1..5 over F_3 and 1..3 over F_5
+    from itertools import product
+
+    from drinfeld.field import _poly_is_irreducible
+
+    for p, top in ((2, 8), (3, 5), (5, 3)):
+        for deg in range(1, top + 1):
+            for tail in product(range(p), repeat=deg):
+                poly = tuple(tail) + (1,)
+                assert _poly_is_irreducible(poly, p) == _irreducible_by_trial_division(poly, p)
 
 
 def _monic_up_to(p, max_deg):
@@ -318,7 +337,7 @@ def test_a_dropped_context_is_freed_with_its_tables():
     group = enumerate_pgl(2, ctx)
     x = b_enumerate(ctx, 2, 1)[0]
     b_classify(x)
-    assert stabilizer_bruteforce(x, group) == stabilizer_predicted(x, group)
+    assert stabilizer_bruteforce(x, group) == stabilizer_predicted(x)
     atlases = [build_atlas("B", 2, ctx, [1], jobs=jobs) for jobs in (1, 2)]
     assert atlases[0].counts == atlases[1].counts
     ref = weakref.ref(ctx)
