@@ -14,25 +14,28 @@ the closed form of its order, counts.stabilizer_order, bounds it before it
 is built and checks it after.
 
 Brute force asks fixes(x, g) of every g, which answers act(x, g) == x
-without building the moved point and stops at the first mismatch.  It
-first reads g's columns, the images of V's basis, in a table of the
-point's values on V's vectors (l, 1/r or l_V), which for most points
-rejects most elements at once.  What an element that passes is asked
-about other lines is read from its line row: for each line j of V, the id
-of g(j) and the log of the scalar carrying j's normalized vector there,
-found from the matrix on first read and kept on the element.  Points turn
-their values into logs once, so each test is linalg.logs_proportional over
-integers, and g(W) = W is read off the images of W's echelon rows.  The
-group is enumerated a row at a time, each candidate row reduced against the
-rows above it by linalg.reduce_vector, and so is each GL block of a built
-stabilizer.  The brute-force subgroup check and the normal p-core grow one
-product closure of line permutations, _closure; the unipotent radical of a
-flag's parabolic is the built route with the identity as its Levi part.
-act, apply, compose and inverse stay on matrices as the oracle the tests
-compare with.
+without building the moved point and stops at the first mismatch.  Each
+element keeps its basis images, g(e_i) = mu_i * u_(j_i) as (j_i, log mu_i),
+read off its columns on first use, and the first check reads them in a
+list of the point's logs on V's lines (l, 1/r or l_V), which for most
+points rejects most elements at once.  What an element that passes is
+asked about other lines is read from its line row: for each line j of V,
+the id of g(j) and the log of the scalar carrying j's normalized vector
+there, found from the matrix on first read and kept on the element; the
+whole line permutation comes from the basis images by linearity.  Points
+turn their values into logs once, so every check is the same loop over
+integers in _fixes_test, and g(W) = W is read off the images of W's
+echelon rows.  The group is enumerated a row at a time, each candidate
+row reduced against the rows above it by linalg.reduce_vector, and so is
+each GL block of a built stabilizer.  The brute-force subgroup check and
+the normal p-core grow one product closure of line permutations,
+_closure; the unipotent radical of a flag's parabolic is the built route
+with the identity as its Levi part.  act, apply, compose and inverse stay
+on matrices as the oracle the tests compare with.
 """
 
 import math
+import operator
 from itertools import product
 
 from .counts import check_group, check_radical, check_stabilizer, pgl_order, stabilizer_order
@@ -44,7 +47,6 @@ from .linalg import (
     _subspace_order,
     apply_functional,
     complement,
-    logs_proportional,
     normalize_functional,
     functional_ratio,
     pivot_row,
@@ -66,10 +68,10 @@ from .points import (
 
 class GroupElement:
     """An element of PGL(n+1, k): an invertible matrix over k, scaled so the
-    first nonzero entry in row-major order is 1; its line row and unipotent
-    verdict are kept on it once found."""
+    first nonzero entry in row-major order is 1; its basis images, sort key,
+    line row and unipotent verdict are kept on it once found."""
 
-    __slots__ = ("ctx", "matrix", "_hash", "_row", "_unipotent")
+    __slots__ = ("ctx", "matrix", "_hash", "_images", "_key", "_row", "_unipotent")
 
     def __init__(self, ctx, matrix):
         matrix = tuple(tuple(r) for r in matrix)
@@ -82,7 +84,7 @@ class GroupElement:
         self.ctx = ctx
         self.matrix = matrix
         self._hash = hash(matrix)
-        self._row = self._unipotent = None
+        self._images = self._key = self._row = self._unipotent = None
 
     @classmethod
     def identity(cls, n_plus_1, ctx):
@@ -115,6 +117,15 @@ class GroupElement:
             raise ValueError("matrix not invertible")
         return GroupElement(ctx, [r[n:] for r in ech])
 
+    def basis_images(self):
+        """g(e_i) = mu_i * u_(j_i) as (j_i, log mu_i), u_j as in _LineRow: the
+        columns are the images, so they are looked up in _line_pairs, on
+        first use, and kept on g."""
+        if self._images is None:
+            pairs = _line_pairs(self.ctx, len(self.matrix))
+            self._images = tuple(map(pairs.__getitem__, zip(*self.matrix)))
+        return self._images
+
     def row(self):
         "g's _LineRow, made on first use and kept on g."
         if self._row is None:
@@ -122,9 +133,21 @@ class GroupElement:
         return self._row
 
     def permutation(self):
-        """The line permutation j -> j', every line read from the row.  It is
-        faithful on PGL, so it stands in for g in products and membership."""
+        """The line permutation j -> j', every line on the row.  The lines not
+        read yet are found by linearity: u_j = e_lead + lam * u_k (_line_plan)
+        gives g(u_j) = g(e_lead) + lam * g(u_k), one vector sum per line from
+        the columns, with u_k's image found before u_j's.  It is faithful on
+        PGL, so it stands in for g in products and membership."""
         row = self.row()
+        if len(row) < len(row.lines):
+            cols, basis, found = list(zip(*self.matrix)), self.basis_images(), {}
+            for j, lead, k, lam in _line_plan(self.ctx, len(cols)):
+                if k is None:
+                    found[j], row[j] = cols[lead], basis[lead]
+                else:
+                    w = found[k] if lam is None else map(lam.__mul__, found[k])
+                    v = found[j] = tuple(map(operator.add, cols[lead], w))
+                    row[j] = row.pairs[v]
         return tuple(row[j][0] for j in range(len(row.lines)))
 
     def order(self):
@@ -141,7 +164,10 @@ class GroupElement:
         return self == GroupElement.identity(self.n_plus_1, self.ctx)
 
     def sort_key(self):
-        return tuple(tuple(a.code for a in r) for r in self.matrix)
+        "The matrix by entry codes, found once and kept on g."
+        if self._key is None:
+            self._key = tuple(tuple(a.code for a in r) for r in self.matrix)
+        return self._key
 
     def __eq__(self, other):
         return isinstance(other, GroupElement) and self.matrix == other.matrix
@@ -162,7 +188,8 @@ class _LineRow(dict):
     _subspace_order(ctx, n+1).  A line is found from the matrix on its first
     read, by one matrix-vector product, and kept for as long as g lives, with
     no size bound; the lines a test never reads are never computed, so an
-    element rejected after a few lines costs a few products."""
+    element rejected after a few lines costs a few products.
+    GroupElement.permutation fills the rest at once, by linearity."""
 
     __slots__ = ("matrix", "lines", "pairs")
 
@@ -186,6 +213,22 @@ def _line_pairs(ctx, n_plus_1):
         for c in ctx.k_elements
         if c
     }
+
+
+@per_field
+def _line_plan(ctx, n_plus_1):
+    """Every line j as (j, lead, k, lam) with u_j = e_lead + lam * u_k, lead
+    u_j's first nonzero position and k a line of larger lead, lam None for 1,
+    or k = None when u_j = e_lead; u_j as in _LineRow.  Larger leads come
+    first, so each k is listed before the lines that refer to it."""
+    index, plan = _subspace_order(ctx, n_plus_1), []
+    for j, u in enumerate(index.lines):
+        lead = next(i for i, a in enumerate(u) if a)
+        rest = (ctx.zero,) * (lead + 1) + u[lead + 1:]
+        lam = next((a for a in rest if a), None)
+        k = None if lam is None else index.line_id[tuple(a * lam.inverse() for a in rest)]
+        plan.append((j, lead, k, None if lam == ctx.one else lam))
+    return tuple(sorted(plan, key=lambda step: -step[1]))
 
 
 @per_field
@@ -266,39 +309,55 @@ def fixes(x, g):
     """Exactly act(x, g) == x, without building act(x, g).
 
     Each kind compares x.g with x piece by piece and stops at the first
-    piece that differs: l o g with l up to scale, read on the columns of g
-    (P); 1/r o g with 1/r up to scale on the columns, then on the vector
+    piece that differs: l o g with l up to scale, read on g's basis images
+    (P); 1/r o g with 1/r up to scale on them, then on the vector
     spanning each line of the support, which by the scaling axiom
     r(c v) = r(v) / c compares them on every vector (Q); and the family
-    subspace by subspace, V on the columns first, then largest first (B).
+    subspace by subspace, V on the basis images first, then largest first
+    (B).
     """
     return _fixes_test(x)(g)
 
 
-def _fixes_test(x):
+def _fixes_test(x, columns_only=False):
     """fixes(x, .), with what depends only on x built once, values as logs.
 
-    The first check, f = f_V, reads g's columns in a table of f on the
-    vectors of V, so an element that fails it gets no line row.  The others
-    are (s, lines, f): f_{g(W)} o g a nonzero multiple of f = f_W on those
-    lines of W = W_s, f_{g(W)}(g(u_j)) being mu_j * f_{g(W)}(u_j').  P has
-    none.  Q has one, 1/r on the lines of its support S, as 1/r scales like
-    a functional and r o g = lam * r iff 1/r o g = 1/lam * 1/r: once g maps
-    S's lines into S, it maps every other line off S, where both are 0.  B
-    has one per subspace of dimension n down to 2, largest first, since most
-    elements fail on the first few (on a line any point's functional is (1,)).
+    Every check is one loop over a triple (entries, image, func): the
+    pulled values mu * image[j], logs mu + image[j] for the (j, log mu) in
+    entries, must be c * func for one nonzero c, so they vanish exactly
+    where func does, and all of them when func does.  The first check is
+    V's, f = f_V: entries g's kept basis images g(e_i) = mu_i * u_(j_i),
+    image f's logs on V's lines (a list by line id: l for P, 1/r for Q,
+    l_V for B) and func f on the basis, so an element that fails it gets no
+    line row; where f vanishes on the whole basis (1/r of a Q point can), it
+    asks that f o g does too.  The others are (s, lines, func): f_{g(W)} o g
+    a nonzero multiple of func = f_W on those lines of W = W_s, entries read
+    from g's line row and image f_{g(W)}'s logs.  P has none.  Q has one, 1/r
+    on the lines of its support S, as 1/r scales like a functional and
+    r o g = lam * r iff 1/r o g = 1/lam * 1/r: once g maps S's lines into
+    S, it maps every other line off S, where both are 0.  B has one per
+    subspace of dimension n down to 2, largest first, since most elements
+    fail on the first few (on a line any point's functional is (1,)).
+    columns_only keeps V's check alone, which is _column_test.
     """
-    ctx = x.ctx
+    ctx, V = x.ctx, Subspace.full(x.n_plus_1, x.ctx)
     index, order = _subspace_order(ctx, x.n_plus_1), ctx._order
-    full = len(index.line_coords) - 1
-    values, checks = {}, []
-    if isinstance(x, QPoint):
-        values[full] = [
-            -x.table[u].log % order if x.table[u] else 2 * order for u in index.lines
-        ]
-        support = [j for j, u in enumerate(index.lines) if x.table[u]]
-        checks.append((full, support, [values[full][j] for j in support]))
+    full, zero = len(index.line_coords) - 1, 2 * order
+    if isinstance(x, PPoint):
+        on_v = [apply_functional(x.coords, u).log for u in index.lines]
+    elif isinstance(x, QPoint):
+        on_v = [-x.table[u].log % order if x.table[u] else zero for u in index.lines]
     elif isinstance(x, BPoint):
+        on = x.on_lines[V]
+        on_v = [on[j].log for j in range(len(index.lines))]
+    else:
+        raise TypeError(f"not a point: {x!r}")
+    base = [on_v[index.line_id[e]] for e in V.rows]
+    values, checks = {full: on_v}, []
+    if isinstance(x, QPoint) and not columns_only:
+        support = [j for j, a in enumerate(on_v) if a < zero]
+        checks.append((full, support, [on_v[j] for j in support]))
+    elif isinstance(x, BPoint) and not columns_only:
         for W, on in x.on_lines.items():
             values[index.subspace_id[W]] = {j: a.log for j, a in on.items()}
         checks = [
@@ -310,19 +369,29 @@ def _fixes_test(x):
             for subs in index.by_dim[-2:1:-1]
             for W in subs
         ]
-    on_columns = _column_test(x)
+    steps, pairs = [(None, None, base)] + checks, _line_pairs(ctx, x.n_plus_1)
 
     def test(g):
-        if not on_columns(g):
-            return False
-        if not checks:
-            return True
-        row = g.row()
-        for s, rows, func in checks:
-            image = values[_subspace_image(index, row, s)]
-            pulled = [mu + image[j] for j, mu in map(row.__getitem__, rows)]
-            if not logs_proportional(pulled, func, order):
-                return False
+        row = None
+        for s, lines, func in steps:
+            if s is None:
+                entries, image = g._images, on_v
+                if entries is None:  # g.basis_images(), with the table at hand
+                    entries = g._images = tuple(map(pairs.__getitem__, zip(*g.matrix)))
+            else:
+                if row is None:
+                    row = g.row()
+                entries, image = map(row.__getitem__, lines), values[_subspace_image(index, row, s)]
+            c = None
+            for (j, mu), b in zip(entries, func):
+                a = mu + image[j]
+                if a >= zero or b >= zero:
+                    if a < zero or b < zero:
+                        return False
+                elif c is None:
+                    c = (a - b) % order
+                elif (a - b) % order != c:
+                    return False
         return True
 
     return test
@@ -330,23 +399,10 @@ def _fixes_test(x):
 
 def _column_test(x):
     """The test that f o g is a nonzero multiple of f on V's basis, f the
-    values of x on V (l for P, 1/r for Q, l_V for B): read on g's columns
-    g(e_i) in a table of f's logs on the nonzero vectors of V, so it needs
-    no line row.  Where f vanishes on the whole basis (1/r of a Q point
-    can), the test is that f o g does too."""
-    ctx, order = x.ctx, x.ctx._order
-    full = Subspace.full(x.n_plus_1, ctx)
-    if isinstance(x, QPoint):
-        logs = {v: -r.log % order if r else 2 * order for v, r in x.table.items()}
-    elif isinstance(x, (PPoint, BPoint)):
-        coords = x.coords if isinstance(x, PPoint) else x.family[full]
-        logs = {v: apply_functional(coords, v).log for v in canonical_vectors(x.n_plus_1, ctx)}
-    else:
-        raise TypeError(f"not a point: {x!r}")
-    base = [logs[e] for e in full.rows]
-    if min(base) >= 2 * order:
-        return lambda g: min(logs[c] for c in zip(*g.matrix)) >= 2 * order
-    return lambda g: logs_proportional([logs[c] for c in zip(*g.matrix)], base, order)
+    values of x on V (l for P, 1/r for Q, l_V for B), or vanishes there
+    with f: _fixes_test's loop on V's check alone, read on g's kept basis
+    images, so it needs no line row."""
+    return _fixes_test(x, columns_only=True)
 
 
 def _subspace_image(index, row, s):

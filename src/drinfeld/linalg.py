@@ -258,22 +258,6 @@ def functional_ratio(u, v):
     return None
 
 
-def logs_proportional(u, v, order):
-    """Whether u = c*v for a nonzero c, the entries given by logs in a field of
-    order + 1 elements: any log from 2*order on, zero's, stands for zero, so
-    a sum of two logs is the log of the product."""
-    zero, c = 2 * order, None
-    for a, b in zip(u, v):
-        if a >= zero or b >= zero:
-            if a < zero or b < zero:
-                return False
-        elif c is None:
-            c = (a - b) % order
-        elif (a - b) % order != c:
-            return False
-    return c is not None
-
-
 def apply_functional(coords, v):
     "Evaluate sum coords_i * v_i."
     ctx = coords[0].ctx

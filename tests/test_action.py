@@ -1,4 +1,5 @@
 import math
+import pickle
 from itertools import product
 
 import pytest
@@ -35,6 +36,7 @@ from drinfeld.action import (
     _check_subgroup,
     _column_test,
     _DenseCovector,
+    _line_pairs,
     _unipotent_matrix_criterion,
     is_unipotent,
 )
@@ -233,6 +235,39 @@ def test_fixes_agrees_with_acting(ctx64, ctx729):
         for x in points:
             for g in group:
                 assert fixes(x, g) == (act(x, g) == x)
+
+
+def _permutation_by_matrix(g):
+    "The oracle for the line permutation: one matrix-vector product per line."
+    pairs = _line_pairs(g.ctx, g.n_plus_1)
+    return tuple(pairs[g.apply(u)][0] for u in _subspace_order(g.ctx, g.n_plus_1).lines)
+
+
+def test_kept_basis_images_and_linear_permutation_against_matrices(ctx64, ctx729):
+    # every element of PGL(3,2), PGL(2,3) and PGL(2,4): the kept basis images
+    # are the line pairs of g(e_i), and the permutation found by linearity
+    # from them is the one the matrix gives line by line; each element is
+    # made anew, so no line of its row was read before
+    gf4 = context_for(2, 2, 2, [1, 2])  # k = GF(4)
+    for ctx, n_plus_1 in ((ctx64, 3), (ctx729, 2), (gf4, 2)):
+        pairs = _line_pairs(ctx, n_plus_1)
+        basis = Subspace.full(n_plus_1, ctx).rows
+        for g in (GroupElement(ctx, g.matrix) for g in enumerate_pgl(n_plus_1, ctx)):
+            assert g.basis_images() == tuple(pairs[g.apply(e)] for e in basis)
+            assert g.permutation() == _permutation_by_matrix(g)
+
+
+def test_unpickled_element_fixes_as_the_cached_one(ctx64):
+    # an unpickled element comes with empty caches and must answer fixes as
+    # the element whose basis images and line row are already filled
+    group = enumerate_pgl(3, ctx64)
+    for g in group:
+        g.permutation()
+    for x in p_enumerate(ctx64, 3, 1) + q_enumerate(ctx64, 3, 1) + b_enumerate(ctx64, 3, 1):
+        for g in group:
+            fresh = pickle.loads(pickle.dumps(g))
+            assert fresh == g and fresh._images is None and fresh._row is None
+            assert fixes(x, fresh) == fixes(x, g)
 
 
 class _QuotientBlock:
