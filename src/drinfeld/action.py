@@ -21,8 +21,8 @@ list of the point's logs on V's lines (l, 1/r or l_V), which for most
 points rejects most elements at once.  What an element that passes is
 asked about other lines is read from its line row: for each line j of V,
 the id of g(j) and the log of the scalar carrying j's normalized vector
-there, found from the matrix on first read and kept on the element; the
-whole line permutation comes from the basis images by linearity.  Points
+there, found by linearity from the basis images on first read and kept on
+the element, and the line permutation reads every line of it.  Points
 turn their values into logs once, so every check is the same loop over
 integers in _fixes_test, and g(W) = W is read off the images of W's
 echelon rows.  The group is enumerated a row at a time, each candidate
@@ -35,7 +35,6 @@ on matrices as the oracle the tests compare with.
 """
 
 import math
-import operator
 from itertools import product
 
 from .counts import check_group, check_radical, check_stabilizer, pgl_order, stabilizer_order
@@ -119,35 +118,23 @@ class GroupElement:
 
     def basis_images(self):
         """g(e_i) = mu_i * u_(j_i) as (j_i, log mu_i), u_j as in _LineRow: the
-        columns are the images, so they are looked up in _line_pairs, on
-        first use, and kept on g."""
+        columns are the images, so they are looked up in the rational index's
+        pairs, on first use, and kept on g."""
         if self._images is None:
-            pairs = _line_pairs(self.ctx, len(self.matrix))
+            pairs = _subspace_order(self.ctx, len(self.matrix)).pairs
             self._images = tuple(map(pairs.__getitem__, zip(*self.matrix)))
         return self._images
 
     def row(self):
         "g's _LineRow, made on first use and kept on g."
         if self._row is None:
-            self._row = _LineRow(self.ctx, self.matrix)
+            self._row = _LineRow(self)
         return self._row
 
     def permutation(self):
-        """The line permutation j -> j', every line on the row.  The lines not
-        read yet are found by linearity: u_j = e_lead + lam * u_k (_line_plan)
-        gives g(u_j) = g(e_lead) + lam * g(u_k), one vector sum per line from
-        the columns, with u_k's image found before u_j's.  It is faithful on
-        PGL, so it stands in for g in products and membership."""
+        """The line permutation j -> j', read off every line of the row.  It is
+        faithful on PGL, so it stands in for g in products and membership."""
         row = self.row()
-        if len(row) < len(row.lines):
-            cols, basis, found = list(zip(*self.matrix)), self.basis_images(), {}
-            for j, lead, k, lam in _line_plan(self.ctx, len(cols)):
-                if k is None:
-                    found[j], row[j] = cols[lead], basis[lead]
-                else:
-                    w = found[k] if lam is None else map(lam.__mul__, found[k])
-                    v = found[j] = tuple(map(operator.add, cols[lead], w))
-                    row[j] = row.pairs[v]
         return tuple(row[j][0] for j in range(len(row.lines)))
 
     def order(self):
@@ -185,50 +172,35 @@ class GroupElement:
 class _LineRow(dict):
     """A group element's line row, filled line by line: row[j] = (j', log mu)
     with g(u_j) = mu * u_j', u_j the normalized vector spanning line j of
-    _subspace_order(ctx, n+1).  A line is found from the matrix on its first
-    read, by one matrix-vector product, and kept for as long as g lives, with
-    no size bound; the lines a test never reads are never computed, so an
-    element rejected after a few lines costs a few products.
-    GroupElement.permutation fills the rest at once, by linearity."""
+    _subspace_order(ctx, n+1).  A line is found on its first read, by
+    linearity from the rational index's plan: it is g's basis image when
+    u_j = e_lead, and otherwise u_j = e_lead + lam * u_k gives
+    g(u_j) = g(e_lead) + lam * g(u_k), g(e_lead) g's column and g(u_k) the
+    row's own entry for k, a line of larger lead, so the reads recurse at
+    most n deep.  Lines are kept for as long as g lives, with no size bound;
+    the lines a test never reads are never computed, so an element rejected
+    after a few lines costs a few vector sums."""
 
-    __slots__ = ("matrix", "lines", "pairs")
+    __slots__ = ("columns", "images", "lines", "pairs", "plan", "antilog")
 
-    def __init__(self, ctx, matrix):
-        self.matrix = matrix
-        self.lines = _subspace_order(ctx, len(matrix)).lines
-        self.pairs = _line_pairs(ctx, len(matrix))
+    def __init__(self, g):
+        index = _subspace_order(g.ctx, g.n_plus_1)
+        self.columns = tuple(zip(*g.matrix))
+        self.images = g.basis_images()
+        self.lines, self.pairs, self.plan = index.lines, index.pairs, index.plan
+        self.antilog = g.ctx._antilog
 
     def __missing__(self, j):
-        u = self.lines[j]
-        pair = self[j] = self.pairs[tuple(apply_functional(r, u) for r in self.matrix)]
+        lead, k, lam = self.plan[j]
+        if k is None:
+            pair = self.images[lead]
+        else:
+            image, mu = self[k]
+            c = self.antilog[lam + mu]
+            v = tuple(a + c * b for a, b in zip(self.columns[lead], self.lines[image]))
+            pair = self.pairs[v]
+        self[j] = pair
         return pair
-
-
-@per_field
-def _line_pairs(ctx, n_plus_1):
-    "Each nonzero vector mu * u_j of k^(n+1) to (j, log mu), u_j as in _LineRow."
-    return {
-        tuple(c * a for a in u): (j, c.log)
-        for j, u in enumerate(_subspace_order(ctx, n_plus_1).lines)
-        for c in ctx.k_elements
-        if c
-    }
-
-
-@per_field
-def _line_plan(ctx, n_plus_1):
-    """Every line j as (j, lead, k, lam) with u_j = e_lead + lam * u_k, lead
-    u_j's first nonzero position and k a line of larger lead, lam None for 1,
-    or k = None when u_j = e_lead; u_j as in _LineRow.  Larger leads come
-    first, so each k is listed before the lines that refer to it."""
-    index, plan = _subspace_order(ctx, n_plus_1), []
-    for j, u in enumerate(index.lines):
-        lead = next(i for i, a in enumerate(u) if a)
-        rest = (ctx.zero,) * (lead + 1) + u[lead + 1:]
-        lam = next((a for a in rest if a), None)
-        k = None if lam is None else index.line_id[tuple(a * lam.inverse() for a in rest)]
-        plan.append((j, lead, k, None if lam == ctx.one else lam))
-    return tuple(sorted(plan, key=lambda step: -step[1]))
 
 
 @per_field
@@ -319,7 +291,7 @@ def fixes(x, g):
     return _fixes_test(x)(g)
 
 
-def _fixes_test(x, columns_only=False):
+def _fixes_test(x):
     """fixes(x, .), with what depends only on x built once, values as logs.
 
     Every check is one loop over a triple (entries, image, func): the
@@ -338,7 +310,6 @@ def _fixes_test(x, columns_only=False):
     S, it maps every other line off S, where both are 0.  B has one per
     subspace of dimension n down to 2, largest first, since most elements
     fail on the first few (on a line any point's functional is (1,)).
-    columns_only keeps V's check alone, which is _column_test.
     """
     ctx, V = x.ctx, Subspace.full(x.n_plus_1, x.ctx)
     index, order = _subspace_order(ctx, x.n_plus_1), ctx._order
@@ -352,32 +323,27 @@ def _fixes_test(x, columns_only=False):
         on_v = [on[j].log for j in range(len(index.lines))]
     else:
         raise TypeError(f"not a point: {x!r}")
-    base = [on_v[index.line_id[e]] for e in V.rows]
+    base = [on_v[j] for j in index.row_ids[full]]
     values, checks = {full: on_v}, []
-    if isinstance(x, QPoint) and not columns_only:
+    if isinstance(x, QPoint):
         support = [j for j, a in enumerate(on_v) if a < zero]
         checks.append((full, support, [on_v[j] for j in support]))
-    elif isinstance(x, BPoint) and not columns_only:
+    elif isinstance(x, BPoint):
+        ids = index.subspace_id
         for W, on in x.on_lines.items():
-            values[index.subspace_id[W]] = {j: a.log for j, a in on.items()}
+            values[ids[W]] = {j: a.log for j, a in on.items()}
         checks = [
-            (
-                index.subspace_id[W],
-                [index.line_id[r] for r in W.rows],
-                [a.log for a in x.family[W]],
-            )
+            (ids[W], index.row_ids[ids[W]], [a.log for a in x.family[W]])
             for subs in index.by_dim[-2:1:-1]
             for W in subs
         ]
-    steps, pairs = [(None, None, base)] + checks, _line_pairs(ctx, x.n_plus_1)
+    steps = [(None, None, base)] + checks
 
     def test(g):
         row = None
         for s, lines, func in steps:
             if s is None:
-                entries, image = g._images, on_v
-                if entries is None:  # g.basis_images(), with the table at hand
-                    entries = g._images = tuple(map(pairs.__getitem__, zip(*g.matrix)))
+                entries, image = g.basis_images(), on_v
             else:
                 if row is None:
                     row = g.row()
@@ -395,14 +361,6 @@ def _fixes_test(x, columns_only=False):
         return True
 
     return test
-
-
-def _column_test(x):
-    """The test that f o g is a nonzero multiple of f on V's basis, f the
-    values of x on V (l for P, 1/r for Q, l_V for B), or vanishes there
-    with f: _fixes_test's loop on V's check alone, read on g's kept basis
-    images, so it needs no line row."""
-    return _fixes_test(x, columns_only=True)
 
 
 def _subspace_image(index, row, s):
@@ -757,11 +715,18 @@ def is_unipotent(g):
 
 
 def _unipotent_matrix_criterion(g):
-    n = g.n_plus_1
-    unit = Subspace.full(n, g.ctx).rows
-    for c in g.ctx.k_elements:
-        if not c:
-            continue
+    """Whether c * M, M g's matrix, is the identity plus a nilpotent for some
+    c in k^x.  Its trace is then n+1, so c * tr(M) = n+1: where p does not
+    divide n+1, c can only be (n+1) / tr(M), and tr(M) = 0 rules every c out;
+    only where p divides n+1 is every c tried."""
+    n, ctx = g.n_plus_1, g.ctx
+    unit = Subspace.full(n, ctx).rows
+    if n % ctx.p:
+        trace = sum((row[i] for i, row in enumerate(g.matrix)), ctx.zero)
+        scalars = [ctx.from_int(n) * trace.inverse()] if trace else []
+    else:
+        scalars = [c for c in ctx.k_elements if c]
+    for c in scalars:
         rows = [[c * a - b for a, b in zip(row, e)] for row, e in zip(g.matrix, unit)]
         # (cM - id)^(n) = 0 iff the matrix is nilpotent
         power = rows

@@ -300,7 +300,9 @@ def rational_kernel(coords, ctx):
 
 
 _RationalIndex = namedtuple(
-    "_RationalIndex", "by_dim above subspace_id lines line_id line_coords by_lines subspaces"
+    "_RationalIndex",
+    "by_dim above subspace_id lines line_id line_coords by_lines subspaces"
+    " row_ids covers pairs plan",
 )
 
 
@@ -314,9 +316,14 @@ def _subspace_order(ctx, n_plus_1):
     coordinates in W_s's echelon basis (entries at its pivots); by_lines
     inverts their bitset to s, and subspaces[s] is W_s.  Echelon rows are
     normalized line vectors, so a row r of W' <= W_s has coordinates
-    line_coords[s][line_id[r]], with no solving.
+    line_coords[s][line_id[r]], with no solving; row_ids[s] holds the line
+    ids of W_s's rows, and covers[s] the subspaces one dimension above W_s.
     W_s's rows being reduced echelon, sum c_i r_i is a normalized line vector
     exactly when c is, and c is then its coordinates: W_s's lines come from c.
+    pairs maps each nonzero vector mu * u_j, u_j = lines[j], to (j, log mu);
+    plan[j] is (lead, k, log lam) with u_j = e_lead + lam * u_k, lead u_j's
+    first nonzero position and k a line of larger lead, or (lead, None, None)
+    when u_j = e_lead.
 
     Echelon parametrisation: choose pivot columns, then fill every entry
     that sits right of its row's pivot and is not itself a pivot column.
@@ -367,9 +374,19 @@ def _subspace_order(ctx, n_plus_1):
         else subspaces[1:]
         for s, a in enumerate(subspaces)
     }
+    pairs = {tuple(c * a for a in u): (j, c.log) for j, u in enumerate(lines) for c in k_els if c}
+    plan = []
+    for u in lines:
+        lead = next(i for i, a in enumerate(u) if a)
+        # the rest of u past its lead is zero, or lam * u_k for the pair (k, log lam)
+        rest = (ctx.zero,) * (lead + 1) + u[lead + 1:]
+        plan.append((lead, *pairs[rest]) if any(rest) else (lead, None, None))
     return _RationalIndex(
         tuple(by_dim), above, {W: s for s, W in enumerate(subspaces)}, lines,
         line_id, line_coords, {b: s for s, b in enumerate(bits)}, subspaces,
+        tuple(tuple(map(line_id.__getitem__, W.rows)) for W in subspaces),
+        tuple(tuple(b for b in above[W] if b.dim == W.dim + 1) for W in subspaces),
+        pairs, tuple(plan),
     )
 
 

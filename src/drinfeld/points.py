@@ -413,7 +413,7 @@ def _nested_pairs(index):
 
 def _restrict(x, big, small, index):
     "l_big restricted to small <= big, in small's basis: its values at small's rows."
-    return tuple(x.on_lines[big][index.line_id[r]] for r in small.rows)
+    return tuple(map(x.on_lines[big].__getitem__, index.row_ids[index.subspace_id[small]]))
 
 
 def _minors_vanish(big, small):
@@ -510,10 +510,10 @@ def b_classify(x):
     W_1 of V', and l_W restricted to W_1 is c * l_W_1, so it vanishes on V'
     when l_W_1 does.
     """
-    chain = _kernel_chain(x)
+    chain, index = _kernel_chain(x), _subspace_order(x.ctx, x.n_plus_1)
     divisors = {
         small
-        for small, rows, _, covers in _line_ids(x.ctx, x.n_plus_1)
+        for small, rows, covers in zip(index.subspaces[1:], index.row_ids[1:], index.covers[1:])
         if covers and not any(x.on_lines[W][j] for W in covers for j in rows)
     }
     if divisors != set(chain):
@@ -523,23 +523,12 @@ def b_classify(x):
     return Flag(x.n_plus_1, tuple(reversed(chain)))
 
 
-@per_field
-def _line_ids(ctx, n_plus_1):
-    """(W, the line ids of W's rows, the ids of W's lines, the subspaces
-    covering W) for each nonzero subspace W of k^(n+1), in canonical order;
-    only the whole space has no cover."""
-    index = _subspace_order(ctx, n_plus_1)
-    return tuple(
-        (W, tuple(index.line_id[r] for r in W.rows), tuple(index.line_coords[index.subspace_id[W]]),
-         tuple(big for big in index.above[W] if big.dim == W.dim + 1))
-        for subs in index.by_dim[1:] for W in subs
-    )
-
-
 def _chain_reads(tables, ctx, n_plus_1):
-    """(W, row ids, line ids, table, 1/lead) per _line_ids entry: table the first
-    chain member's line table not zero at W's rows, which lie in each one passed."""
-    for W, rows, lines, _ in _line_ids(ctx, n_plus_1):
+    """(W, row ids, line ids, table, 1/lead) per nonzero subspace W of the
+    rational index, in canonical order: table the first chain member's line
+    table not zero at W's rows, which lie in each one passed."""
+    index = _subspace_order(ctx, n_plus_1)
+    for W, rows, lines in zip(index.subspaces[1:], index.row_ids[1:], index.line_coords[1:]):
         for table in tables:
             if lead := next(filter(None, map(table.__getitem__, rows)), None):
                 break
@@ -569,7 +558,7 @@ def b_from_flag_data(flag, parts, ctx):
 
 
 def _flag_plan(flag, ctx):
-    """What every point on flag is built from, besides _line_ids: for each
+    """What every point on flag is built from, besides the rational index: for each
     step C_t > C_(t+1) of its chain, the quotient width, the projection along
     C_(t+1) (row i the projection of e_i, _quotient_projection's) and C_t's
     lines by id with their coordinates."""
@@ -619,7 +608,8 @@ def _quotient_projection(big, small, ctx):
     """
     index = _subspace_order(ctx, big.n_plus_1)
     inside = index.line_coords[index.subspace_id[big]]
-    small_c = Subspace(big.dim, tuple(inside[index.line_id[r]] for r in small.rows))
+    rows = index.row_ids[index.subspace_id[small]]
+    small_c = Subspace(big.dim, tuple(map(inside.__getitem__, rows)))
     at_pivot = dict(zip(small_c.pivots(), small_c.rows))
     free = [i for i in range(big.dim) if i not in at_pivot]
     unit = Subspace.full(big.dim, ctx).rows

@@ -247,9 +247,18 @@ def check_points_partition_p(cfg):
         want = variety_total("P", n_plus_1, q, m)
         if len(pts) != want:
             return False, f"|P| = {len(pts)} != {want} at q={q} n+1={n_plus_1} m={m}"
-        if sum(Counter(p_classify(x) for x in pts).values()) != want:
-            return False, "classification lost points"
+        if not _p_strata_hold(pts, ctx, n_plus_1, q, m):
+            return False, f"P stratum count failed at q={q} n+1={n_plus_1} m={m}"
     return True, ""
+
+
+def _p_strata_hold(pts, ctx, n_plus_1, q, m):
+    "Whether each P stratum holds exactly the dense points of its quotient."
+    per = Counter(p_classify(x) for x in pts)
+    return all(
+        per.get(sub, 0) == stratum_total("P", sub, n_plus_1, q, m)
+        for sub in all_subspaces(n_plus_1, ctx, include_full=False)
+    )
 
 
 def check_points_q_support(cfg):
@@ -682,11 +691,8 @@ def criterion_1(shared):
             p_want = variety_total("P", n_plus_1, q, m)
             if len(p_pts) != p_want or len(set(p_pts)) != len(p_pts):
                 return False, f"P partition failed at q={q} n+1={n_plus_1} m={m}"
-            per_p = Counter(p_classify(x) for x in p_pts)
-            # every stratum holds exactly the dense points of its quotient
-            for sub in all_subspaces(n_plus_1, ctx, include_full=False):
-                if per_p.get(sub, 0) != stratum_total("P", sub, n_plus_1, q, m):
-                    return False, f"P stratum count failed at q={q} n+1={n_plus_1} m={m}"
+            if not _p_strata_hold(p_pts, ctx, n_plus_1, q, m):
+                return False, f"P stratum count failed at q={q} n+1={n_plus_1} m={m}"
             q_pts = q_enumerate(ctx, n_plus_1, m)
             per = Counter(q_classify(x) for x in q_pts)
             for sub in all_subspaces(n_plus_1, ctx, include_zero=False):

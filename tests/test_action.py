@@ -1,5 +1,6 @@
 import math
 import pickle
+import random
 from itertools import product
 
 import pytest
@@ -34,15 +35,19 @@ from drinfeld import (
 from drinfeld.action import (
     GroupElement,
     _check_subgroup,
-    _column_test,
     _DenseCovector,
-    _line_pairs,
     _unipotent_matrix_criterion,
     is_unipotent,
 )
 from drinfeld.counts import MAX_GROUP, stabilizer_order, stabilizer_unipotents
 from drinfeld.errors import DefectSignal, InvariantViolation
-from drinfeld.linalg import _subspace_order, apply_functional, normalize_functional, quotient_functional
+from drinfeld.linalg import (
+    _subspace_order,
+    apply_functional,
+    functional_ratio,
+    normalize_functional,
+    quotient_functional,
+)
 from drinfeld.points import (
     QPoint,
     _quotient_projection,
@@ -239,8 +244,8 @@ def test_fixes_agrees_with_acting(ctx64, ctx729):
 
 def _permutation_by_matrix(g):
     "The oracle for the line permutation: one matrix-vector product per line."
-    pairs = _line_pairs(g.ctx, g.n_plus_1)
-    return tuple(pairs[g.apply(u)][0] for u in _subspace_order(g.ctx, g.n_plus_1).lines)
+    index = _subspace_order(g.ctx, g.n_plus_1)
+    return tuple(index.pairs[g.apply(u)][0] for u in index.lines)
 
 
 def test_kept_basis_images_and_linear_permutation_against_matrices(ctx64, ctx729):
@@ -250,11 +255,40 @@ def test_kept_basis_images_and_linear_permutation_against_matrices(ctx64, ctx729
     # made anew, so no line of its row was read before
     gf4 = context_for(2, 2, 2, [1, 2])  # k = GF(4)
     for ctx, n_plus_1 in ((ctx64, 3), (ctx729, 2), (gf4, 2)):
-        pairs = _line_pairs(ctx, n_plus_1)
+        pairs = _subspace_order(ctx, n_plus_1).pairs
         basis = Subspace.full(n_plus_1, ctx).rows
         for g in (GroupElement(ctx, g.matrix) for g in enumerate_pgl(n_plus_1, ctx)):
             assert g.basis_images() == tuple(pairs[g.apply(e)] for e in basis)
             assert g.permutation() == _permutation_by_matrix(g)
+
+
+def _plan_depth(plan, j):
+    "How many lines a read of line j recurses through before a basis image."
+    depth = 0
+    while plan[j][1] is not None:
+        j, depth = plan[j][1], depth + 1
+    return depth
+
+
+def test_line_row_read_deepest_first_against_matrices(ctx64):
+    # each element made anew, its lines read one at a time, those whose plan
+    # recurses deepest first: every (j', log mu) is the one g.apply gives;
+    # all of PGL(3,2) and PGL(2,4), and a fixed sample of PGL(4,2), where a
+    # read recurses 3 deep
+    gf4 = context_for(2, 2, 2, [1, 2])  # k = GF(4)
+    ctx42 = context_for(2, 1, 4, [1])
+    cases = [(ctx64, 3, None), (gf4, 2, None), (ctx42, 4, 300)]
+    for ctx, n_plus_1, sample in cases:
+        index = _subspace_order(ctx, n_plus_1)
+        order = sorted(range(len(index.lines)), key=lambda j: -_plan_depth(index.plan, j))
+        assert _plan_depth(index.plan, order[0]) == n_plus_1 - 1
+        group = enumerate_pgl(n_plus_1, ctx)
+        if sample is not None:
+            group = random.Random(0).sample(group, sample)
+        for g in (GroupElement(ctx, g.matrix) for g in group):
+            row = g.row()
+            for j in order:
+                assert row[j] == index.pairs[g.apply(index.lines[j])]
 
 
 def test_unpickled_element_fixes_as_the_cached_one(ctx64):
@@ -336,10 +370,10 @@ def _stabilizer_by_filter(x, group):
     covector.  Q: g preserves the support span V' and g restricted to V'
     passes the check against 1/r.  B: g fixes the stratum flag and every
     induced diagonal block passes the check against its quotient covector.
-    The column test is read first, and only the elements it keeps get line
+    The column check is read first, and only the elements it keeps get line
     rows (test_column_test_keeps_what_the_description_keeps)."""
     invariant, blocks = _predicted_blocks(x)
-    on_columns = _column_test(x)
+    on_columns = _column_check(x)
     out = []
     for g in group:
         if not on_columns(g):
@@ -353,8 +387,30 @@ def _stabilizer_by_filter(x, group):
     return sorted(out, key=GroupElement.sort_key)
 
 
+def _column_check(x):
+    """The oracle's V check, from the matrix action: f o g a nonzero multiple
+    of f on g's columns, or zero there where f is zero on the whole basis;
+    f is x's value on a vector of V (l for P, 1/r for Q, l_V for B)."""
+    ctx, basis = x.ctx, Subspace.full(x.n_plus_1, x.ctx).rows
+    if isinstance(x, PPoint):
+        f = lambda v: apply_functional(x.coords, v)
+    elif isinstance(x, QPoint):
+        f = lambda v: x.table[v].inverse() if x.table[v] else ctx.zero
+    else:
+        f = lambda v: apply_functional(x.family[Subspace(x.n_plus_1, basis)], v)
+    on_basis = [f(e) for e in basis]
+
+    def check(g):
+        pulled = [f(col) for col in zip(*g.matrix)]
+        if not any(on_basis):
+            return not any(pulled)
+        return bool(functional_ratio(pulled, on_basis))
+
+    return check
+
+
 def test_column_test_keeps_what_the_description_keeps(ctx64, ctx729):
-    # the filter oracle reads the column test first: every element that
+    # the filter oracle reads the column check first: every element that
     # fixes the stratum flag and passes every block check must pass it
     cases = [(ctx64, 3, m, "PQB") for m in (1, 2)] + [(ctx729, 2, m, "PQB") for m in (1, 2)]
     cases.append((ctx64, 3, 3, "P"))
@@ -363,7 +419,7 @@ def test_column_test_keeps_what_the_description_keeps(ctx64, ctx729):
         group = enumerate_pgl(n_plus_1, ctx)
         for x in (x for kind in kinds for x in enumerate_kind[kind](ctx, n_plus_1, m)):
             _, blocks = _predicted_blocks(x)
-            on_columns, members = _column_test(x), stratum_flag(x).members
+            on_columns, members = _column_check(x), stratum_flag(x).members
             for g in group:
                 kept = all(g.apply_subspace(W) == W for W in members) and all(
                     block.passes(g) for block in blocks
@@ -375,7 +431,7 @@ _KINDS = {"P": p_enumerate, "Q": q_enumerate, "B": b_enumerate}
 
 
 def test_stabilizer_theorem_small_sweep(ctx64, ctx729):
-    # three routes that share nothing past the point and the column test:
+    # three routes that share nothing past the point:
     # built from the stratum flag, filtered by the block description, and
     # brute force over fixes
     gf4 = context_for(2, 2, 2, [1, 2])  # k = GF(4)
@@ -624,6 +680,38 @@ def test_kept_unipotent_verdict_equals_both_criteria(ctx64, ctx729):
                 order //= ctx.p
             assert verdict == (order == 1) == _unipotent_matrix_criterion(fresh)
             assert is_unipotent(g) is verdict
+
+
+def _unipotent_by_every_scalar(g):
+    "The oracle: c * M - I nilpotent, M g's matrix, tried for every c in k^x."
+    ctx, n = g.ctx, g.n_plus_1
+    for c in ctx.k_elements:
+        if not c:
+            continue
+        rows = [[c * a - (ctx.one if i == j else ctx.zero) for j, a in enumerate(row)]
+                for i, row in enumerate(g.matrix)]
+        power = rows
+        for _ in range(n - 1):
+            power = [[apply_functional(r, col) for col in zip(*rows)] for r in power]
+        if not any(a for r in power for a in r):
+            return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "p, e, n_plus_1",
+    [(3, 1, 2), (2, 2, 2), (5, 1, 2), (7, 1, 2), (11, 1, 2), (2, 1, 3), (3, 1, 3)],
+)
+def test_unipotent_matrix_criterion_against_every_scalar(p, e, n_plus_1):
+    # the one scalar (n+1) / tr(M) where p does not divide n+1, every scalar
+    # where it does (PGL(2, 4) and PGL(3, 3)): the same verdict on every element
+    ctx = context_for(p, e, n_plus_1, [1])
+    verdicts = set()
+    for g in enumerate_pgl(n_plus_1, ctx):
+        verdict = _unipotent_matrix_criterion(g)
+        assert verdict == _unipotent_by_every_scalar(g), g
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_semisimple_stabilizer_has_trivial_unipotent_part(ctx64, omega4):

@@ -25,6 +25,7 @@ from drinfeld.linalg import (
     coords_to_ambient,
     normalize_functional,
     reduce_vector,
+    vec_key,
 )
 
 
@@ -298,6 +299,35 @@ def test_superspaces_against_all_pairs(q, n_plus_1):
         a: tuple(b for b, b_bits in zip(subs, bits) if b.dim > a.dim and a_bits & ~b_bits == 0)
         for a, a_bits in zip(subs, bits)
     }
+
+
+@pytest.mark.parametrize("p, e, n_plus_1", [(2, 1, 3), (3, 1, 2), (2, 1, 4), (2, 2, 3)])
+def test_index_rows_covers_pairs_and_plan_against_direct_computation(p, e, n_plus_1):
+    "row_ids, covers, pairs and plan of the rational index, each recomputed from its definition."
+    ctx = context_for(p, e, n_plus_1, [1])
+    index = _subspace_order(ctx, n_plus_1)
+    lines = enumerate_subspaces(n_plus_1, 1, ctx)
+    for s, W in enumerate(index.subspaces):
+        assert index.row_ids[s] == tuple(lines.index(Subspace.span(n_plus_1, [r])) for r in W.rows)
+        assert index.covers[s] == tuple(
+            b for b in index.subspaces if b.dim == W.dim + 1 and b.contains(W)
+        )
+    # every nonzero vector is mu * u_j for exactly one line j and one mu in k^x
+    by_log = {a.log: a for a in ctx.k_elements if a}
+    vectors = [v for v in product(ctx.k_elements, repeat=n_plus_1) if any(v)]
+    assert sorted(index.pairs, key=vec_key) == sorted(vectors, key=vec_key)
+    assert len(set(index.pairs.values())) == len(vectors) == len(lines) * len(by_log)
+    for v, (j, log) in index.pairs.items():
+        assert v == tuple(by_log[log] * a for a in index.lines[j])
+    # u_j = e_lead, or e_lead + lam * u_k for a line k of larger lead
+    unit = Subspace.full(n_plus_1, ctx).rows
+    for u, (lead, k, log) in zip(index.lines, index.plan):
+        assert lead == next(i for i, a in enumerate(u) if a)
+        if k is None:
+            assert u == unit[lead] and log is None
+        else:
+            assert index.plan[k][0] > lead
+            assert u == tuple(a + by_log[log] * b for a, b in zip(unit[lead], index.lines[k]))
 
 
 def _order_by_matrix_powers(g):
